@@ -61,17 +61,10 @@ impl Algorithm {
         }
     }
 
-    /// The stream order the paper grants this algorithm.
+    /// The stream order the paper grants this algorithm (the core policy,
+    /// [`Partitioner::stream_order`]).
     pub fn stream_order(&self) -> StreamOrder {
-        match self {
-            Algorithm::Hashing | Algorithm::Dbh | Algorithm::Greedy | Algorithm::Hdrf => {
-                StreamOrder::Random(0x5EED)
-            }
-            Algorithm::Mint
-            | Algorithm::Clugp
-            | Algorithm::ClugpNoSplit
-            | Algorithm::ClugpGreedyAssign => StreamOrder::Bfs,
-        }
+        self.build().stream_order()
     }
 
     /// Instantiates the partitioner with the paper's default parameters.

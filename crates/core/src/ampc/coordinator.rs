@@ -33,7 +33,10 @@ use super::proto::{
 };
 use super::table::{Layout, MergeOp, DEFAULT_STRIPE};
 use super::transport::{NetStats, Transport};
-use super::worker::{migration_tag, unexpected, T_CPART, T_MAIN};
+use super::worker::{
+    decode_vertex_row, migration_tag, stream_kernel, unexpected, ClugpVertices, T_CPART, T_MAIN,
+    VERTEX_ROW,
+};
 use super::{
     pack_input_specs, split_ranges, AmpcMode, DistConfig, DistInput, SuperviseConfig,
     DEFAULT_EPOCH_CHUNKS,
@@ -45,7 +48,7 @@ use crate::clugp::transform::load_cap;
 use crate::clugp::{greedy_assign, solve_game, ClugpConfig, ClusterAssignMode};
 use crate::error::{FaultKind, PartitionError, Result};
 use crate::partition::Partitioning;
-use crate::vertex_table::{cap_error, VertexTable, DEFAULT_MAX_VERTICES};
+use crate::vertex_table::{cap_error, DEFAULT_MAX_VERTICES};
 use clugp_graph::pack::ShardedPackReader;
 use clugp_obs::{self as obs, TraceRecord};
 use rustc_hash::FxHashMap;
@@ -283,6 +286,9 @@ impl Coord {
                     dropped,
                     events,
                 }) => self.absorb_trace(from, now_us, dropped, events),
+                // Proof of life from a quiet worker: it resets the recv
+                // deadline simply by having arrived.
+                Ok(Msg::Heartbeat) => {}
                 // A worker-reported error is deterministic (bad input,
                 // corrupt pack): replaying it would only fail again, so it
                 // stays fatal.
@@ -316,6 +322,45 @@ impl Coord {
         }
     }
 
+    /// Concatenates every worker's shard of `table`, in worker order.
+    fn scan_all(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
+        let (mut keys, mut rows) = (Vec::new(), Vec::new());
+        for w in 0..self.conns.len() {
+            let (k, r) = self.scan(w, table)?;
+            keys.extend(k);
+            rows.extend(r);
+        }
+        Ok((keys, rows))
+    }
+
+    /// Writes `(key, row)` pairs to the owning workers' shards of `table`
+    /// under `Put`, one upsert per owner.
+    fn put_rows<R: AsRef<[u64]>>(
+        &mut self,
+        table: u8,
+        layout: Layout,
+        rows: impl Iterator<Item = (u64, R)>,
+    ) -> Result<()> {
+        let workers = self.conns.len();
+        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); workers];
+        for (key, row) in rows {
+            let owner = layout.owner(key, workers as u32) as usize;
+            by_owner[owner].0.push(key);
+            by_owner[owner].1.extend_from_slice(row.as_ref());
+        }
+        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
+            if !keys.is_empty() {
+                let op = StateOp::Upsert {
+                    merge: MergeOp::Put,
+                    keys,
+                    rows,
+                };
+                self.state_req(owner, table, op)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Runs one stage as a barrier: the token travels worker 0‥N−1, and
     /// while worker `w` streams, the coordinator relays its routing
     /// traffic to the owning shards.
@@ -336,16 +381,6 @@ impl Coord {
             self.send(w, &msg)?;
             token = loop {
                 match self.recv(w)? {
-                    Msg::Route { to, table, op } => {
-                        let to = to as usize;
-                        if to >= self.conns.len() {
-                            return Err(PartitionError::InvalidParam(format!(
-                                "route target {to} out of range"
-                            )));
-                        }
-                        let rows = self.state_req(to, table, op)?;
-                        self.send(w, &Msg::StateResp { rows })?;
-                    }
                     Msg::RouteBatch { to, keys, ops } => {
                         let to = to as usize;
                         if to >= self.conns.len() {
@@ -367,18 +402,12 @@ impl Coord {
                             }
                         }
                     }
-                    // Proof of life from a quiet worker: resets the recv
-                    // deadline simply by having arrived.
-                    Msg::Heartbeat => {}
                     Msg::StageDone {
                         token,
                         assignments: part,
                         pairs,
                     } => {
-                        assignments.extend(part);
-                        if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
-                            out.push(p);
-                        }
+                        absorb_stage_done(assignments, pairs_out.as_deref_mut(), part, pairs);
                         break token;
                     }
                     other => return Err(unexpected(&other)),
@@ -414,23 +443,16 @@ impl Coord {
     ) -> Result<Vec<Token>> {
         let mut tokens = Vec::with_capacity(self.conns.len());
         for w in 0..self.conns.len() {
-            loop {
-                match self.recv(w)? {
-                    Msg::Heartbeat => {}
-                    Msg::StageDone {
-                        token,
-                        assignments: part,
-                        pairs,
-                    } => {
-                        assignments.extend(part);
-                        if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
-                            out.push(p);
-                        }
-                        tokens.push(token);
-                        break;
-                    }
-                    other => return Err(unexpected(&other)),
+            match self.recv(w)? {
+                Msg::StageDone {
+                    token,
+                    assignments: part,
+                    pairs,
+                } => {
+                    absorb_stage_done(assignments, pairs_out.as_deref_mut(), part, pairs);
+                    tokens.push(token);
                 }
+                other => return Err(unexpected(&other)),
             }
         }
         Ok(tokens)
@@ -449,16 +471,13 @@ impl Coord {
             let mut all_last = true;
             let mut touched: Vec<Vec<u64>> = vec![Vec::new(); defs.len()];
             for w in 0..workers {
-                let (last, loads, tables) = loop {
-                    match self.recv(w)? {
-                        Msg::Heartbeat => {}
-                        Msg::EpochDone {
-                            last,
-                            loads,
-                            tables,
-                        } => break (last, loads, tables),
-                        other => return Err(unexpected(&other)),
-                    }
+                let (last, loads, tables) = match self.recv(w)? {
+                    Msg::EpochDone {
+                        last,
+                        loads,
+                        tables,
+                    } => (last, loads, tables),
+                    other => return Err(unexpected(&other)),
                 };
                 all_last &= last;
                 if loads.len() != k {
@@ -536,23 +555,32 @@ impl Coord {
     fn collect_pass1_frontiers(&mut self) -> Result<Vec<Pass1Part>> {
         let mut parts = Vec::with_capacity(self.conns.len());
         for w in 0..self.conns.len() {
-            loop {
-                match self.recv(w)? {
-                    Msg::Heartbeat => {}
-                    Msg::Pass1Frontier { keys, rows, vol } => {
-                        if rows.len() != keys.len() * 3 {
-                            return Err(PartitionError::InvalidParam(
-                                "pass-1 frontier payload does not match key count".into(),
-                            ));
-                        }
-                        parts.push(Pass1Part { keys, rows, vol });
-                        break;
+            match self.recv(w)? {
+                Msg::Pass1Frontier { keys, rows, vol } => {
+                    if rows.len() != keys.len() * VERTEX_ROW {
+                        return Err(PartitionError::InvalidParam(
+                            "pass-1 frontier payload does not match key count".into(),
+                        ));
                     }
-                    other => return Err(unexpected(&other)),
+                    parts.push(Pass1Part { keys, rows, vol });
                 }
+                other => return Err(unexpected(&other)),
             }
         }
         Ok(parts)
+    }
+}
+
+/// Appends one worker's [`Msg::StageDone`] outputs to the stage's.
+fn absorb_stage_done(
+    assignments: &mut Vec<u32>,
+    pairs_out: Option<&mut Vec<PairsPayload>>,
+    part: Vec<u32>,
+    pairs: Option<PairsPayload>,
+) {
+    assignments.extend(part);
+    if let (Some(out), Some(p)) = (pairs_out, pairs) {
+        out.push(p);
     }
 }
 
@@ -777,25 +805,21 @@ impl<'a> Supervisor<'a> {
         if !self.checkpointing() {
             return Ok(());
         }
-        let workers = self.coord.conns.len();
         let defs = self.table_defs.clone();
         let mut tables = Vec::with_capacity(defs.len());
         for (t, def) in defs.iter().enumerate() {
-            let mut dump = TableDump {
-                width: def.width,
-                keys: Vec::new(),
-                rows: Vec::new(),
-            };
             // At the first barrier every table is still factory-empty, so
             // an empty dump (restore = plain reset) is exact.
-            if seq > 1 {
-                for w in 0..workers {
-                    let (keys, rows) = self.coord.scan(w, t as u8)?;
-                    dump.keys.extend(keys);
-                    dump.rows.extend(rows);
-                }
-            }
-            tables.push(dump);
+            let (keys, rows) = if seq > 1 {
+                self.coord.scan_all(t as u8)?
+            } else {
+                (Vec::new(), Vec::new())
+            };
+            tables.push(TableDump {
+                width: def.width,
+                keys,
+                rows,
+            });
         }
         let ck = Checkpoint {
             seq,
@@ -828,8 +852,7 @@ impl<'a> Supervisor<'a> {
     fn restore(&mut self, ck: &Checkpoint) -> Result<()> {
         let t0 = self.coord.t0();
         let started = Instant::now();
-        let workers = self.coord.conns.len();
-        for w in 0..workers {
+        for w in 0..self.coord.conns.len() {
             self.probe_reset(w)?;
         }
         let defs = self.table_defs.clone();
@@ -841,29 +864,9 @@ impl<'a> Supervisor<'a> {
                     defs.len()
                 )));
             };
-            let width = def.width as usize;
-            let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); workers];
-            for (i, &key) in dump.keys.iter().enumerate() {
-                let owner = def.layout.owner(key, workers as u32) as usize;
-                by_owner[owner].0.push(key);
-                by_owner[owner]
-                    .1
-                    .extend_from_slice(&dump.rows[i * width..(i + 1) * width]);
-            }
-            for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-                if keys.is_empty() {
-                    continue;
-                }
-                self.coord.state_req(
-                    owner,
-                    t as u8,
-                    StateOp::Upsert {
-                        merge: MergeOp::Put,
-                        keys,
-                        rows,
-                    },
-                )?;
-            }
+            let rows = dump.keys.iter().copied();
+            let rows = rows.zip(dump.rows.chunks_exact(def.width as usize));
+            self.coord.put_rows(t as u8, def.layout, rows)?;
         }
         self.ckpt_restore_us += started.elapsed().as_micros() as u64;
         self.ckpt_restores += 1;
@@ -987,57 +990,6 @@ fn drive(
         }
     };
 
-    match algo {
-        DistAlgo::Dbh { max_vertices, .. } => {
-            check_cap(n_hint, *max_vertices, "num_vertices hint")?
-        }
-        DistAlgo::Greedy { max_vertices } => check_cap(n_hint, *max_vertices, "num_vertices")?,
-        DistAlgo::Hdrf(cfg) => check_cap(n_hint, cfg.max_vertices, "num_vertices hint")?,
-        DistAlgo::Clugp(cfg) => check_cap(n_hint, cfg.max_vertices, "num_vertices hint")?,
-        _ => {}
-    }
-
-    let vrange = Layout::range_for(n_hint, workers);
-    let striped = Layout::Striped {
-        stripe: DEFAULT_STRIPE,
-    };
-    let replica_width = ((k as usize).div_ceil(64).max(1)) as u32;
-    let tables: Vec<TableDef> = match algo {
-        DistAlgo::Hashing { .. } | DistAlgo::Grid { .. } | DistAlgo::Mint(_) => Vec::new(),
-        DistAlgo::Dbh { .. } => vec![TableDef {
-            layout: vrange,
-            width: 1,
-        }],
-        DistAlgo::Greedy { .. } => vec![TableDef {
-            layout: vrange,
-            width: replica_width,
-        }],
-        DistAlgo::Hdrf(_) => vec![
-            TableDef {
-                layout: vrange,
-                width: replica_width,
-            },
-            TableDef {
-                layout: vrange,
-                width: 1,
-            },
-        ],
-        DistAlgo::Clugp(_) => vec![
-            TableDef {
-                layout: vrange,
-                width: 3,
-            },
-            TableDef {
-                layout: striped,
-                width: 1,
-            },
-            TableDef {
-                layout: striped,
-                width: 1,
-            },
-        ],
-    };
-
     let algo_spec = match algo {
         DistAlgo::Hashing { seed } => AlgoSpec::Hashing { seed: *seed },
         DistAlgo::Grid { seed } => AlgoSpec::Grid { seed: *seed },
@@ -1067,6 +1019,48 @@ fn drive(
             max_vertices: cfg.max_vertices,
         },
     };
+
+    // A stream kernel declares its own tables and vertex cap; CLUGP's
+    // three tables are fixed by its passes.
+    let kernel = stream_kernel(&algo_spec, k)?;
+    if let Some((limit, what)) = kernel.as_ref().and_then(|kn| kn.vertex_cap()) {
+        check_cap(n_hint, limit, what)?;
+    }
+    if let DistAlgo::Clugp(cfg) = algo {
+        check_cap(n_hint, cfg.max_vertices, "num_vertices hint")?;
+    }
+    let vrange = Layout::range_for(n_hint, workers);
+    let striped = Layout::Striped {
+        stripe: DEFAULT_STRIPE,
+    };
+    let tables: Vec<TableDef> = match (&kernel, algo) {
+        (Some(kernel), _) => kernel
+            .tables()
+            .iter()
+            .map(|t| TableDef {
+                layout: vrange,
+                width: t.width,
+            })
+            .collect(),
+        (None, DistAlgo::Clugp(_)) => vec![
+            TableDef {
+                layout: vrange,
+                width: VERTEX_ROW as u32,
+            },
+            TableDef {
+                layout: striped,
+                width: 1,
+            },
+            TableDef {
+                layout: striped,
+                width: 1,
+            },
+        ],
+        (None, _) => Vec::new(),
+    };
+    // Kernel baselines reconcile their tables and loads at relaxed epoch
+    // barriers; Hashing and Mint stream straight to StageDone.
+    let epoch_synced = kernel.is_some();
 
     let heartbeat_ms = cfg.supervise.heartbeat_ms();
     let mut setups = Vec::with_capacity(workers as usize);
@@ -1129,7 +1123,7 @@ fn drive(
             DistAlgo::Clugp(cfg) => {
                 clugp_flow(sup, cfg, n_hint, m_hint, k, resume.as_ref(), mode, epoch)
             }
-            _ => baseline_flow(sup, algo, n_hint, k, resume.as_ref(), mode, epoch),
+            _ => baseline_flow(sup, epoch_synced, n_hint, k, resume.as_ref(), mode, epoch),
         };
         match attempt {
             Ok(p) => return Ok(p),
@@ -1147,7 +1141,7 @@ fn drive(
 #[allow(clippy::too_many_arguments)]
 fn baseline_flow(
     sup: &mut Supervisor<'_>,
-    algo: &DistAlgo,
+    epoch_synced: bool,
     n_hint: u64,
     k: u32,
     resume: Option<&Checkpoint>,
@@ -1166,16 +1160,9 @@ fn baseline_flow(
         AmpcMode::Sequenced => sup.coord.run_stage(stage, token0, &mut assignments, None)?,
         AmpcMode::Relaxed => {
             sup.coord.broadcast_stage(stage, &token0, epoch)?;
-            // Epoch-synced algos exchange deltas mid-stage; stateless ones
+            // Epoch-synced algos exchange deltas mid-stage; the others
             // (Hashing, Mint) just stream to StageDone and the coordinator
             // sums their load tallies.
-            let epoch_synced = matches!(
-                algo,
-                DistAlgo::Grid { .. }
-                    | DistAlgo::Dbh { .. }
-                    | DistAlgo::Greedy { .. }
-                    | DistAlgo::Hdrf(_)
-            );
             if epoch_synced {
                 let defs = sup.table_defs.clone();
                 sup.coord.run_epoch_rounds(k as usize, &defs)?;
@@ -1186,15 +1173,11 @@ fn baseline_flow(
     };
     sup.coord
         .span("pass:baseline", t0, assignments.len() as u64);
-    let num_vertices = match algo {
-        DistAlgo::Dbh { .. } | DistAlgo::Greedy { .. } | DistAlgo::Hdrf(_) => {
-            n_hint.max(token.table_len)
-        }
-        _ => n_hint,
-    };
     Ok(Partitioning {
         k,
-        num_vertices,
+        // Kernels report their table length in the token; the others
+        // leave it 0.
+        num_vertices: n_hint.max(token.table_len),
         assignments,
         loads: token.loads,
     })
@@ -1230,12 +1213,7 @@ fn merge_relaxed_tokens(tokens: Vec<Token>, sum_loads: bool) -> Token {
 /// the lower-indexed worker (strict `>` while scanning workers in
 /// ascending order); degrees sum and divided-flags OR across claims.
 /// Returns the global raw-cluster count.
-fn merge_pass1_frontiers(
-    parts: Vec<Pass1Part>,
-    cluster_of: &mut VertexTable<u32>,
-    degree: &mut VertexTable<u32>,
-    divided: &mut VertexTable<bool>,
-) -> Result<u64> {
+fn merge_pass1_frontiers(parts: Vec<Pass1Part>, vs: &mut ClugpVertices) -> Result<u64> {
     let total: u64 = parts.iter().map(|p| p.vol.len() as u64).sum();
     if total >= u64::from(NO_CLUSTER) {
         return Err(PartitionError::InvalidParam(format!(
@@ -1250,23 +1228,19 @@ fn merge_pass1_frontiers(
     let mut best_vol: FxHashMap<u32, u64> = FxHashMap::default();
     let mut base = 0u64;
     for p in &parts {
-        for (i, &key) in p.keys.iter().enumerate() {
+        for (&key, row) in p.keys.iter().zip(p.rows.chunks_exact(VERTEX_ROW)) {
             let v = key as u32;
-            cluster_of.ensure(v)?;
-            degree.ensure(v)?;
-            divided.ensure(v)?;
-            let w0 = p.rows[3 * i];
-            let d = p.rows[3 * i + 1] as u32;
-            let dv = p.rows[3 * i + 2] != 0;
-            degree[v] = degree[v].saturating_add(d);
-            divided[v] |= dv;
-            if w0 != 0 {
-                let c = (base + (w0 - 1)) as u32;
+            vs.ensure(v)?;
+            let (local, d, dv) = decode_vertex_row(row);
+            vs.degree[v] = vs.degree[v].saturating_add(d);
+            vs.divided[v] |= dv;
+            if local != NO_CLUSTER {
+                let c = (base + u64::from(local)) as u32;
                 let cv = vols[c as usize];
                 let cur = best_vol.get(&v).copied();
                 if cur.is_none_or(|b| cv > b) {
                     best_vol.insert(v, cv);
-                    cluster_of[v] = c;
+                    vs.cluster_of[v] = c;
                 }
             }
         }
@@ -1279,15 +1253,8 @@ fn merge_pass1_frontiers(
 /// the concatenation to the whole fleet as a read-only [`Msg::TableCast`]
 /// mirror for the next relaxed stage.
 fn cast_table(sup: &mut Supervisor<'_>, table: u8) -> Result<()> {
-    let workers = sup.coord.conns.len();
-    let mut keys = Vec::new();
-    let mut rows = Vec::new();
-    for w in 0..workers {
-        let (k, r) = sup.coord.scan(w, table)?;
-        keys.extend(k);
-        rows.extend(r);
-    }
-    for w in 0..workers {
+    let (keys, rows) = sup.coord.scan_all(table)?;
+    for w in 0..sup.coord.conns.len() {
         sup.coord.send(
             w,
             &Msg::TableCast {
@@ -1346,72 +1313,36 @@ fn clugp_flow(
         // Assemble the authoritative vertex state: sequenced runs scan the
         // sharded tables; relaxed runs merge the locally-clustered
         // frontiers every worker ships ahead of StageDone.
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(n_hint, NO_CLUSTER, cfg.max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(n_hint, 0, cfg.max_vertices)?;
-        let mut divided: VertexTable<bool> =
-            VertexTable::with_limit(n_hint, false, cfg.max_vertices)?;
+        let mut vs = ClugpVertices::new(n_hint, cfg.max_vertices)?;
         let mut no_assign = Vec::new();
         let raw_count = if relaxed {
             sup.coord.broadcast_stage(stage, &token0, epoch)?;
             let parts = sup.coord.collect_pass1_frontiers()?;
             sup.coord.collect_stage_done(&mut no_assign, None)?;
-            merge_pass1_frontiers(parts, &mut cluster_of, &mut degree, &mut divided)? as usize
+            merge_pass1_frontiers(parts, &mut vs)? as usize
         } else {
             let token = sup.coord.run_stage(stage, token0, &mut no_assign, None)?;
             for w in 0..workers as usize {
                 let (keys, rows) = sup.coord.scan(w, T_MAIN)?;
-                for (i, &key) in keys.iter().enumerate() {
-                    let v = key as u32;
-                    cluster_of.ensure(v)?;
-                    degree.ensure(v)?;
-                    divided.ensure(v)?;
-                    let w0 = rows[3 * i];
-                    cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-                    degree[v] = rows[3 * i + 1] as u32;
-                    divided[v] = rows[3 * i + 2] != 0;
+                for (&key, row) in keys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
+                    vs.import(key as u32, row)?;
                 }
             }
             token.next_raw as usize
         };
         // Exact edge count, independent of the hint (each edge added 2).
-        m_real = degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
+        m_real = vs.degree.iter().map(|&d| u64::from(d)).sum::<u64>() / 2;
 
         // Pass 2a prelude: dense cluster ids (volumes recomputed from
         // degrees, so the raw volume table is no longer needed).
-        let (nc, _volumes) = compact_clusters(&mut cluster_of, &degree, raw_count);
+        let (nc, _volumes) = compact_clusters(&mut vs.cluster_of, &vs.degree, raw_count);
         num_clusters = u64::from(nc);
 
-        // Republish dense width-3 rows for every vertex so passes 2b/3
+        // Republish dense vertex rows for every vertex so passes 2b/3
         // see dense ids wherever they fetch from.
-        let vlayout = sup.table_defs[0].layout;
-        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for v in 0..cluster_of.len() {
-            let owner = vlayout.owner(v, workers) as usize;
-            let vid = v as u32;
-            let c = cluster_of[vid];
-            by_owner[owner].0.push(v);
-            by_owner[owner]
-                .1
-                .push(if c == NO_CLUSTER { 0 } else { u64::from(c) + 1 });
-            by_owner[owner].1.push(u64::from(degree[vid]));
-            by_owner[owner].1.push(u64::from(divided[vid]));
-        }
-        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-            if keys.is_empty() {
-                continue;
-            }
-            sup.coord.state_req(
-                owner,
-                T_MAIN,
-                StateOp::Upsert {
-                    merge: MergeOp::Put,
-                    keys,
-                    rows,
-                },
-            )?;
-        }
+        let rows = (0..vs.cluster_of.len()).map(|v| (v, vs.export(v as u32)));
+        let layout = sup.table_defs[T_MAIN as usize].layout;
+        sup.coord.put_rows(T_MAIN, layout, rows)?;
         // Pass 1 proper plus the coordinator's compaction/republish work
         // between passes — the "streaming clustering" half of Fig. 10.
         sup.coord.span("pass:pass1", t0, m_real);
@@ -1451,28 +1382,12 @@ fn clugp_flow(
             ClusterAssignMode::Game => solve_game(&cg, k, cfg)?.partition_of,
             ClusterAssignMode::Greedy => greedy_assign::greedy_assign(&cg, k),
         };
-        let claylout = sup.table_defs[T_CPART as usize].layout;
-        let mut by_owner: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for (c, &p) in cluster_partition.iter().enumerate() {
-            let owner = claylout.owner(c as u64, workers) as usize;
-            by_owner[owner].0.push(c as u64);
-            by_owner[owner].1.push(u64::from(p));
-        }
-        for (owner, (keys, rows)) in by_owner.into_iter().enumerate() {
-            if keys.is_empty() {
-                continue;
-            }
-            sup.coord.state_req(
-                owner,
-                T_CPART,
-                StateOp::Upsert {
-                    merge: MergeOp::Put,
-                    keys,
-                    rows,
-                },
-            )?;
-        }
+        let rows = cluster_partition
+            .iter()
+            .enumerate()
+            .map(|(c, &p)| (c as u64, [u64::from(p)]));
+        let layout = sup.table_defs[T_CPART as usize].layout;
+        sup.coord.put_rows(T_CPART, layout, rows)?;
         // Cluster graph + game/greedy assignment + map publish — the
         // "partitioning" half of Fig. 10.
         sup.coord.span("pass:pairs", t0, num_clusters);

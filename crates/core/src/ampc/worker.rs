@@ -3,60 +3,134 @@
 //! A worker owns one contiguous range of the edge stream and a
 //! [`StateShard`] per table. After `Configure` it sits in a serve loop:
 //! it answers `StateReq`/`Scan` against its local shards, and on
-//! `RunStage` it streams its edge range through *the same per-edge
-//! kernels the monolithic partitioners use*, which is what keeps every
-//! distributed configuration bit-identical to the monolith.
+//! `RunStage` it streams its edge range through *the same per-edge steps
+//! the monolithic partitioners use*, which is what keeps every sequenced
+//! configuration bit-identical to the monolith.
 //!
-//! Remote state is handled per chunk: the worker collects the distinct
-//! keys a chunk touches, fetches the authoritative rows from the owning
-//! shards (one delta-encoded [`Msg::RouteBatch`] per owner, relayed
-//! through the coordinator), overwrites its dense scratch tables, runs
-//! the kernel over the chunk, and writes the touched rows back
-//! (fire-and-forget `Put` batches — frame ordering through the
-//! coordinator's star links guarantees they land before any later
-//! dependent read). Scratch entries outside the fetched set are never
-//! read, so the scratch tables can stay full-size and dense — same
-//! types, same indexing as the monolith.
+//! The one-pass baselines with state (Grid, DBH, Greedy, HDRF) run as a
+//! `StreamKernel` (`crate::kernel`) under one of two generic drivers:
 //!
-//! In [`AmpcMode::Relaxed`] there is no per-chunk routing at all: every
-//! worker streams its whole range against worker-local tables and
-//! reconciles with the fleet at epoch barriers ([`Msg::EpochDone`] /
-//! [`Msg::EpochSync`]), or — for the CLUGP stages — against read-only
-//! [`Msg::TableCast`] mirrors, shipping a locally-clustered
-//! [`Msg::Pass1Frontier`] for the coordinator to merge.
+//! * `Wk::drive_sequenced` — per chunk, fetch the rows of every table
+//!   the kernel declares for the chunk's distinct endpoints from the
+//!   owning shards (one delta-encoded [`Msg::RouteBatch`] per owner,
+//!   relayed through the coordinator), import them into the kernel's
+//!   dense tables, step the chunk, and write the rows back
+//!   (fire-and-forget `Put` batches — frame ordering through the
+//!   coordinator's star links guarantees they land before any later
+//!   dependent read). Entries outside the fetched set are never read, so
+//!   the tables can stay dense — same types, same indexing as the
+//!   monolith.
+//! * `Wk::drive_relaxed` ([`AmpcMode::Relaxed`]) — no per-chunk routing
+//!   at all: the kernel streams the whole range against worker-local
+//!   tables and reconciles with the fleet at epoch barriers
+//!   ([`Msg::EpochDone`] / [`Msg::EpochSync`]) under each table's
+//!   declared [`MergeOp`].
+//!
+//! Hashing and Mint keep their own loops, and the CLUGP stages route the
+//! same way by hand; in relaxed mode they read [`Msg::TableCast`] mirrors
+//! and pass 1 ships a locally-clustered [`Msg::Pass1Frontier`] for the
+//! coordinator to merge.
 
 use super::proto::{
-    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, Stage, StateOp, Token, WorkerSetup,
+    AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, Stage, StateOp, TableDef, Token,
+    WorkerSetup,
 };
 use super::table::{Layout, MergeOp, StateShard};
 use super::transport::Transport;
 use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
+use crate::baselines::dbh::DbhKernel;
+use crate::baselines::greedy::GreedyKernel;
+use crate::baselines::grid::GridKernel;
+use crate::baselines::hashing;
+use crate::baselines::hdrf::HdrfKernel;
 use crate::baselines::mint::{self, MintConfig, DEFAULT_WAVE_WIDTH};
-use crate::baselines::{dbh, greedy, grid, hashing, hdrf};
+use crate::baselines::HdrfConfig;
 use crate::clugp::cluster_graph::PairSink;
 use crate::clugp::clustering::{pass1_edge, NO_CLUSTER};
 use crate::clugp::config::MigrationPolicy;
 use crate::clugp::transform::transform_edge;
 use crate::error::{PartitionError, Result};
-use crate::state::{PartitionLoads, ReplicaTable};
+use crate::kernel::{KernelTable, StreamKernel};
+use crate::state::PartitionLoads;
 use crate::vertex_table::VertexTable;
 use clugp_graph::pack::ShardedPackReader;
 use clugp_graph::stream::{chunk_edges, EdgeStream};
 use clugp_graph::types::Edge;
 use clugp_obs::{self as obs, Event, EventBuf};
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Table slot 0: the algorithm's main per-vertex table (degree for DBH,
-/// replica rows for Greedy/HDRF, the packed vertex state for CLUGP).
+/// Table slot 0: the algorithm's main per-vertex table (the first table
+/// a [`StreamKernel`] declares; CLUGP's packed vertex rows).
 pub(crate) const T_MAIN: u8 = 0;
-/// Table slot 1 for HDRF: partial degrees.
-pub(crate) const T_DEGREE: u8 = 1;
 /// Table slot 1 for CLUGP: raw-cluster volumes (pass 1 only).
 pub(crate) const T_VOL: u8 = 1;
 /// Table slot 2 for CLUGP: dense cluster → partition.
 pub(crate) const T_CPART: u8 = 2;
+
+/// Words per CLUGP vertex row in [`T_MAIN`].
+pub(crate) const VERTEX_ROW: usize = 3;
+
+/// Encodes one CLUGP vertex row: `(cluster + 1, or 0 for none; degree;
+/// divided)`. With [`decode_vertex_row`] the only code that knows the
+/// [`T_MAIN`] row format.
+#[inline]
+fn encode_vertex_row(cluster: u32, degree: u32, divided: bool) -> [u64; VERTEX_ROW] {
+    let c = if cluster == NO_CLUSTER {
+        0
+    } else {
+        u64::from(cluster) + 1
+    };
+    [c, u64::from(degree), u64::from(divided)]
+}
+
+/// Decodes one CLUGP vertex row into `(cluster, degree, divided)`.
+#[inline]
+pub(crate) fn decode_vertex_row(row: &[u64]) -> (u32, u32, bool) {
+    let c = if row[0] == 0 {
+        NO_CLUSTER
+    } else {
+        (row[0] - 1) as u32
+    };
+    (c, row[1] as u32, row[2] != 0)
+}
+
+/// CLUGP's dense per-vertex pass state, the tables a [`T_MAIN`] row
+/// packs.
+pub(crate) struct ClugpVertices {
+    pub cluster_of: VertexTable<u32>,
+    pub degree: VertexTable<u32>,
+    pub divided: VertexTable<bool>,
+}
+
+impl ClugpVertices {
+    pub(crate) fn new(hint: u64, max_vertices: u64) -> Result<Self> {
+        Ok(ClugpVertices {
+            cluster_of: VertexTable::with_limit(hint, NO_CLUSTER, max_vertices)?,
+            degree: VertexTable::with_limit(hint, 0, max_vertices)?,
+            divided: VertexTable::with_limit(hint, false, max_vertices)?,
+        })
+    }
+
+    pub(crate) fn ensure(&mut self, v: u32) -> Result<()> {
+        self.cluster_of.ensure(v)?;
+        self.degree.ensure(v)?;
+        self.divided.ensure(v)
+    }
+
+    /// Ensures `v`, then overwrites its state with an encoded row.
+    pub(crate) fn import(&mut self, v: u32, row: &[u64]) -> Result<()> {
+        self.ensure(v)?;
+        (self.cluster_of[v], self.degree[v], self.divided[v]) = decode_vertex_row(row);
+        Ok(())
+    }
+
+    pub(crate) fn export(&self, v: u32) -> [u64; VERTEX_ROW] {
+        encode_vertex_row(self.cluster_of[v], self.degree[v], self.divided[v])
+    }
+}
 
 pub(crate) fn unexpected(m: &Msg) -> PartitionError {
     PartitionError::InvalidParam(format!("unexpected protocol message: {}", m.kind()))
@@ -128,7 +202,7 @@ pub fn run_worker(mut conn: Box<dyn Transport>) -> Result<()> {
     loop {
         match recv(wk.conn.as_mut())? {
             Msg::StateReq { table, op } => {
-                let rows = wk.apply_local(table, &op)?;
+                let rows = wk.apply_local(table, op)?;
                 wk.send_msg(&Msg::StateResp { rows })?;
             }
             Msg::StateReqBatch { keys, ops } => {
@@ -309,28 +383,20 @@ impl Wk {
         Ok(i)
     }
 
-    /// Executes a state op against the local shard of `table`.
-    fn apply_local(&mut self, table: u8, op: &StateOp) -> Result<Vec<u64>> {
-        let i = self.slot(table)?;
-        let shard = &mut self.shards[i];
-        match op {
-            StateOp::Get { keys } => {
-                let mut out = Vec::with_capacity(keys.len() * shard.width());
-                for &key in keys {
-                    shard.get_into(key, &mut out);
-                }
-                Ok(out)
-            }
-            StateOp::Upsert { merge, keys, rows } => {
-                if rows.len() != keys.len() * shard.width() {
-                    return Err(PartitionError::InvalidParam(
-                        "upsert row payload does not match key count".into(),
-                    ));
-                }
-                shard.upsert_batch(*merge, keys, rows);
-                Ok(Vec::new())
-            }
-        }
+    /// Executes a single-table state op against the local shard.
+    fn apply_local(&mut self, table: u8, op: StateOp) -> Result<Vec<u64>> {
+        let (keys, op) = match op {
+            StateOp::Get { keys } => (keys, BatchOp::Get { table }),
+            StateOp::Upsert { merge, keys, rows } => (
+                keys,
+                BatchOp::Put {
+                    table,
+                    merge,
+                    vals: rows,
+                },
+            ),
+        };
+        Ok(self.serve_batch(&keys, &[op])?.unwrap_or_default())
     }
 
     fn scan_local(&mut self, table: u8) -> Result<(Vec<u64>, Vec<u64>)> {
@@ -375,6 +441,30 @@ impl Wk {
         Ok(reply)
     }
 
+    /// Looks up the defs of `tables` (which must share one layout) and
+    /// splits `keys` by owning worker: per owner, its keys and their
+    /// positions in `keys`.
+    #[allow(clippy::type_complexity)]
+    fn split_by_owner(
+        &self,
+        tables: impl Iterator<Item = u8>,
+        keys: &[u64],
+    ) -> Result<(Vec<TableDef>, Vec<(Vec<u64>, Vec<usize>)>)> {
+        let defs: Vec<TableDef> = tables
+            .map(|t| self.slot(t).map(|i| self.setup.tables[i]))
+            .collect::<Result<_>>()?;
+        let layout = defs[0].layout;
+        debug_assert!(defs.iter().all(|d| d.layout == layout));
+        let workers = self.setup.workers;
+        let mut by_owner = vec![(Vec::new(), Vec::new()); workers as usize];
+        for (i, &key) in keys.iter().enumerate() {
+            let owner = layout.owner(key, workers) as usize;
+            by_owner[owner].0.push(key);
+            by_owner[owner].1.push(i);
+        }
+        Ok((defs, by_owner))
+    }
+
     /// Fetches `keys` from every table in `tables` (all sharing one
     /// layout), returning one flattened row vector per table, in key
     /// order. Remote owners are serviced with a single delta-encoded
@@ -382,24 +472,11 @@ impl Wk {
     /// reply is awaited, so the relay legs overlap.
     fn fetch_group(&mut self, tables: &[u8], keys: &[u64]) -> Result<Vec<Vec<u64>>> {
         let t_route = if self.setup.trace { obs::now_us() } else { 0 };
-        let defs: Vec<_> = tables
-            .iter()
-            .map(|&t| self.slot(t).map(|i| self.setup.tables[i]))
-            .collect::<Result<_>>()?;
-        let layout = defs[0].layout;
-        debug_assert!(defs.iter().all(|d| d.layout == layout));
-        let workers = self.setup.workers;
+        let (defs, by_owner) = self.split_by_owner(tables.iter().copied(), keys)?;
         let mut outs: Vec<Vec<u64>> = defs
             .iter()
             .map(|d| vec![0u64; keys.len() * d.width as usize])
             .collect();
-        let mut by_owner: Vec<(Vec<u64>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for (i, &key) in keys.iter().enumerate() {
-            let owner = layout.owner(key, workers) as usize;
-            by_owner[owner].0.push(key);
-            by_owner[owner].1.push(i);
-        }
         let me = self.setup.worker as usize;
         // Fire every remote request first, then collect replies in the
         // same order — the coordinator answers per-owner in send order.
@@ -472,21 +549,8 @@ impl Wk {
     /// remote owner. No acks: the frames traverse the coordinator's
     /// ordered star links, so each Put is applied at its owner before any
     /// later dependent read from this worker can arrive there.
-    fn publish_group(&mut self, keys: &[u64], puts: &[(u8, MergeOp, &[u64])]) -> Result<()> {
-        let defs: Vec<_> = puts
-            .iter()
-            .map(|&(t, _, _)| self.slot(t).map(|i| self.setup.tables[i]))
-            .collect::<Result<_>>()?;
-        let layout = defs[0].layout;
-        debug_assert!(defs.iter().all(|d| d.layout == layout));
-        let workers = self.setup.workers;
-        let mut by_owner: Vec<(Vec<u64>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); workers as usize];
-        for (i, &key) in keys.iter().enumerate() {
-            let owner = layout.owner(key, workers) as usize;
-            by_owner[owner].0.push(key);
-            by_owner[owner].1.push(i);
-        }
+    fn publish(&mut self, keys: &[u64], puts: Vec<(u8, MergeOp, Vec<u64>)>) -> Result<()> {
+        let (defs, by_owner) = self.split_by_owner(puts.iter().map(|p| p.0), keys)?;
         let me = self.setup.worker as usize;
         for (owner, (okeys, opos)) in by_owner.into_iter().enumerate() {
             if okeys.is_empty() {
@@ -495,7 +559,7 @@ impl Wk {
             let ops: Vec<BatchOp> = puts
                 .iter()
                 .zip(&defs)
-                .map(|(&(table, merge, rows), d)| {
+                .map(|(&(table, merge, ref rows), d)| {
                     let width = d.width as usize;
                     let mut vals = Vec::with_capacity(okeys.len() * width);
                     for &pos in &opos {
@@ -515,11 +579,6 @@ impl Wk {
             }
         }
         Ok(())
-    }
-
-    /// Writes `keys.len()` flattened rows back to `table` under `merge`.
-    fn publish(&mut self, table: u8, merge: MergeOp, keys: &[u64], rows: &[u64]) -> Result<()> {
-        self.publish_group(keys, &[(table, merge, rows)])
     }
 
     fn chunk_cap(&self) -> usize {
@@ -588,28 +647,18 @@ impl Wk {
         self.chunk_edges = 0;
         let t_stage = if self.setup.trace { obs::now_us() } else { 0 };
         let mut source = self.open_source()?;
-        let mut out = match stage {
-            Stage::Baseline => self.stage_baseline(token, &mut source, relaxed, epoch),
-            Stage::ClugpPass1 { vmax } => {
-                if relaxed {
-                    self.stage_clugp_pass1_relaxed(vmax, token, &mut source)
-                } else {
-                    self.stage_clugp_pass1(vmax, token, &mut source)
-                }
+        let src = &mut source;
+        let mut out = match (stage, relaxed) {
+            (Stage::Baseline, _) => self.stage_baseline(token, src, relaxed, epoch),
+            (Stage::ClugpPass1 { vmax }, false) => self.stage_clugp_pass1(vmax, token, src),
+            (Stage::ClugpPass1 { vmax }, true) => self.stage_clugp_pass1_relaxed(vmax, token, src),
+            (Stage::ClugpPairs { num_clusters: n }, false) => self.stage_clugp_pairs(n, token, src),
+            (Stage::ClugpPairs { num_clusters: n }, true) => {
+                self.stage_clugp_pairs_relaxed(n, token, src)
             }
-            Stage::ClugpPairs { num_clusters } => {
-                if relaxed {
-                    self.stage_clugp_pairs_relaxed(num_clusters, token, &mut source)
-                } else {
-                    self.stage_clugp_pairs(num_clusters, token, &mut source)
-                }
-            }
-            Stage::ClugpTransform { lmax } => {
-                if relaxed {
-                    self.stage_clugp_transform_relaxed(lmax, token, &mut source)
-                } else {
-                    self.stage_clugp_transform(lmax, token, &mut source)
-                }
+            (Stage::ClugpTransform { lmax }, false) => self.stage_clugp_transform(lmax, token, src),
+            (Stage::ClugpTransform { lmax }, true) => {
+                self.stage_clugp_transform_relaxed(lmax, token, src)
             }
         };
         if out.is_ok() {
@@ -664,38 +713,6 @@ impl Wk {
         let (token, assignments) = match algo {
             // Hashing is stateless: the relaxed run is the sequenced run.
             AlgoSpec::Hashing { seed } => self.run_hashing(seed, token, source)?,
-            AlgoSpec::Grid { seed } => {
-                if relaxed {
-                    self.run_grid_relaxed(seed, token, source, epoch)?
-                } else {
-                    self.run_grid(seed, token, source)?
-                }
-            }
-            AlgoSpec::Dbh { seed, max_vertices } => {
-                if relaxed {
-                    self.run_dbh_relaxed(seed, max_vertices, token, source, epoch)?
-                } else {
-                    self.run_dbh(seed, max_vertices, token, source)?
-                }
-            }
-            AlgoSpec::Greedy { max_vertices } => {
-                if relaxed {
-                    self.run_greedy_relaxed(max_vertices, token, source, epoch)?
-                } else {
-                    self.run_greedy(max_vertices, token, source)?
-                }
-            }
-            AlgoSpec::Hdrf {
-                lambda,
-                epsilon,
-                max_vertices,
-            } => {
-                if relaxed {
-                    self.run_hdrf_relaxed(lambda, epsilon, max_vertices, token, source, epoch)?
-                } else {
-                    self.run_hdrf(lambda, epsilon, max_vertices, token, source)?
-                }
-            }
             AlgoSpec::Mint {
                 batch,
                 wave,
@@ -714,10 +731,17 @@ impl Wk {
                 };
                 self.run_mint(&cfg, token, source, relaxed)?
             }
-            AlgoSpec::Clugp { .. } => {
-                return Err(PartitionError::InvalidParam(
-                    "CLUGP algo cannot run the baseline stage".into(),
-                ))
+            spec => {
+                let Some(mut kernel) = stream_kernel(&spec, self.setup.k)? else {
+                    return Err(PartitionError::InvalidParam(
+                        "CLUGP algo cannot run the baseline stage".into(),
+                    ));
+                };
+                if relaxed {
+                    self.drive_relaxed(kernel.as_mut(), token, source, epoch)?
+                } else {
+                    self.drive_sequenced(kernel.as_mut(), token, source)?
+                }
             }
         };
         Ok((token, assignments, None))
@@ -740,165 +764,6 @@ impl Wk {
                 assignments.push(p);
             }
         }
-        Ok((token, assignments))
-    }
-
-    fn run_grid(
-        &mut self,
-        seed: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let r = grid::grid_dim(k);
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut cs_u = Vec::with_capacity(2 * r as usize);
-        let mut cs_v = Vec::with_capacity(2 * r as usize);
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let p = grid::grid_edge(e, seed, r, k, &loads, &mut cs_u, &mut cs_v);
-                assignments.push(p);
-                loads.add(p);
-            }
-        }
-        token.loads = loads.into_vec();
-        Ok((token, assignments))
-    }
-
-    fn run_dbh(
-        &mut self,
-        seed: u64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut keys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            let rows = self.fetch(T_MAIN, &keys)?;
-            for (i, &key) in keys.iter().enumerate() {
-                let v = key as u32;
-                degree.ensure(v)?;
-                degree[v] = rows[i] as u32;
-            }
-            for &e in &buf {
-                let p = dbh::dbh_edge(e, seed, k, &mut degree)?;
-                token.loads[p as usize] += 1;
-                assignments.push(p);
-            }
-            let back: Vec<u64> = keys
-                .iter()
-                .map(|&key| u64::from(degree[key as u32]))
-                .collect();
-            self.publish(T_MAIN, MergeOp::Put, &keys, &back)?;
-        }
-        token.table_len = token.table_len.max(degree.len());
-        Ok((token, assignments))
-    }
-
-    fn run_greedy(
-        &mut self,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut keys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            let rows = self.fetch(T_MAIN, &keys)?;
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.ensure_vertices(key + 1)?;
-                replicas.import_row(key as u32, &rows[i * wr..(i + 1) * wr]);
-            }
-            for &e in &buf {
-                let p = greedy::greedy_edge(e, &mut replicas, &mut loads)?;
-                assignments.push(p);
-            }
-            let mut back = vec![0u64; keys.len() * wr];
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.export_row(key as u32, &mut back[i * wr..(i + 1) * wr]);
-            }
-            self.publish(T_MAIN, MergeOp::Put, &keys, &back)?;
-        }
-        token.loads = loads.into_vec();
-        token.table_len = token.table_len.max(replicas.num_vertices());
-        Ok((token, assignments))
-    }
-
-    fn run_hdrf(
-        &mut self,
-        lambda: f64,
-        epsilon: f64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut keys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            let mut fetched = self.fetch_group(&[T_MAIN, T_DEGREE], &keys)?;
-            let drows = fetched.pop().expect("two tables fetched");
-            let rrows = fetched.pop().expect("two tables fetched");
-            for (i, &key) in keys.iter().enumerate() {
-                let v = key as u32;
-                replicas.ensure_vertices(key + 1)?;
-                replicas.import_row(v, &rrows[i * wr..(i + 1) * wr]);
-                degree.ensure(v)?;
-                degree[v] = drows[i] as u32;
-            }
-            for &e in &buf {
-                let p = hdrf::hdrf_edge(
-                    e,
-                    lambda,
-                    epsilon,
-                    k,
-                    &mut degree,
-                    &mut replicas,
-                    &mut loads,
-                )?;
-                assignments.push(p);
-            }
-            let mut back = vec![0u64; keys.len() * wr];
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.export_row(key as u32, &mut back[i * wr..(i + 1) * wr]);
-            }
-            let dback: Vec<u64> = keys
-                .iter()
-                .map(|&key| u64::from(degree[key as u32]))
-                .collect();
-            self.publish_group(
-                &keys,
-                &[
-                    (T_MAIN, MergeOp::Put, &back),
-                    (T_DEGREE, MergeOp::Put, &dback),
-                ],
-            )?;
-        }
-        token.loads = loads.into_vec();
-        token.table_len = token.table_len.max(replicas.num_vertices());
         Ok((token, assignments))
     }
 
@@ -969,340 +834,189 @@ impl Wk {
         Ok((token, assignments))
     }
 
-    /// One relaxed-mode epoch barrier: ship this worker's deltas, block
+    /// One relaxed-mode epoch barrier: ship the epoch's deltas, block
     /// until the coordinator broadcasts the merged committed state for the
-    /// round. Every worker contributes exactly one [`Msg::EpochDone`] per
-    /// round, so the committed state after round `r` is independent of
-    /// thread scheduling — that is what keeps relaxed runs deterministic.
-    fn epoch_exchange(
+    /// round, and adopt it. Every worker contributes exactly one
+    /// [`Msg::EpochDone`] per round, so the committed state after round
+    /// `r` is independent of thread scheduling — that is what keeps
+    /// relaxed runs deterministic. The `last` barrier keeps answering
+    /// rounds with empty deltas until every worker has reported its last.
+    fn epoch_barrier(
         &mut self,
         last: bool,
-        loads: Vec<u64>,
-        tables: Vec<EpochTable>,
-    ) -> Result<(bool, Vec<u64>, Vec<EpochTable>)> {
-        let t_barrier = if self.setup.trace { obs::now_us() } else { 0 };
-        self.send_msg(&Msg::EpochDone {
-            last,
-            loads,
-            tables,
-        })?;
-        match recv(self.conn.as_mut())? {
-            Msg::EpochSync {
-                done,
-                loads,
-                tables,
-            } => {
-                if self.setup.trace {
-                    self.obs
-                        .push(Event::span_since("epoch:barrier", t_barrier, 0));
-                }
-                Ok((done, loads, tables))
+        kernel: &mut dyn StreamKernel,
+        tables: &[KernelTable],
+        log: &mut EpochLog,
+        loads: &mut PartitionLoads,
+    ) -> Result<()> {
+        let (mut delta, mut deltas) = log.flush(kernel, tables, loads);
+        loop {
+            let t_barrier = if self.setup.trace { obs::now_us() } else { 0 };
+            self.send_msg(&Msg::EpochDone {
+                last,
+                loads: delta,
+                tables: deltas,
+            })?;
+            let (done, committed, synced) = match recv(self.conn.as_mut())? {
+                Msg::EpochSync {
+                    done,
+                    loads,
+                    tables,
+                } => (done, loads, tables),
+                Msg::Err { msg } => return Err(PartitionError::InvalidParam(msg)),
+                other => return Err(unexpected(&other)),
+            };
+            if self.setup.trace {
+                self.obs
+                    .push(Event::span_since("epoch:barrier", t_barrier, 0));
             }
-            Msg::Err { msg } => Err(PartitionError::InvalidParam(msg)),
-            other => Err(unexpected(&other)),
+            for t in &synced {
+                adopt_synced(kernel, tables, t)?;
+            }
+            log.loads.clone_from(&committed);
+            *loads = PartitionLoads::from_vec(committed);
+            if done || !last {
+                return Ok(());
+            }
+            delta = vec![0; loads.k() as usize];
+            deltas = Vec::new();
         }
     }
 
-    /// Final relaxed-mode barrier sequence: ship the last deltas, then
-    /// keep answering rounds with empty deltas until every worker has
-    /// reported `last`. Returns the final committed loads.
-    fn epoch_drain(
+    /// The sequenced baseline driver. Per chunk: fetch the rows of every
+    /// declared table for the chunk's distinct endpoints in one
+    /// [`Wk::fetch_group`], import them, step the kernel over the chunk,
+    /// and write the rows back under `Put` in one [`Wk::publish`].
+    /// A kernel without tables (Grid) streams with no routing at all.
+    fn drive_sequenced(
         &mut self,
-        loads: Vec<u64>,
-        tables: Vec<EpochTable>,
-        mut apply: impl FnMut(&EpochTable) -> Result<()>,
+        kernel: &mut dyn StreamKernel,
+        mut token: Token,
+        source: &mut Source,
+    ) -> Result<(Token, Vec<u32>)> {
+        let tables = kernel.tables();
+        let slots: Vec<u8> = (0..tables.len() as u8).collect();
+        let cap = self.chunk_cap();
+        let mut buf = Vec::with_capacity(cap);
+        let mut assignments = Vec::new();
+        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
+        let mut keys: Vec<u64> = Vec::new();
+        while self.next_chunk(source, &mut buf, cap)? != 0 {
+            if !tables.is_empty() {
+                distinct_endpoints(&buf, &mut keys);
+                let rows = self.fetch_group(&slots, &keys)?;
+                for (i, &key) in keys.iter().enumerate() {
+                    let v = key as u32;
+                    kernel.ensure(v)?;
+                    for (slot, (def, rows)) in tables.iter().zip(&rows).enumerate() {
+                        let w = def.width as usize;
+                        kernel.import(slot, v, &rows[i * w..(i + 1) * w]);
+                    }
+                }
+            }
+            for &e in &buf {
+                assignments.push(kernel.step(e, &mut loads)?);
+            }
+            if !tables.is_empty() {
+                let puts = tables
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, def)| {
+                        let rows = export_rows(kernel, slot, def.width, &keys);
+                        (slot as u8, MergeOp::Put, rows)
+                    })
+                    .collect();
+                self.publish(&keys, puts)?;
+            }
+        }
+        token.loads = loads.into_vec();
+        token.table_len = token.table_len.max(kernel.num_vertices());
+        Ok((token, assignments))
+    }
+
+    /// The relaxed baseline driver: stream the whole range against the
+    /// worker-local kernel, and every `epoch` chunks ship the epoch's
+    /// changes — load deltas, plus one [`EpochTable`] per declared table
+    /// over the keys touched since the last barrier — then adopt the
+    /// committed rows the coordinator broadcasts back.
+    fn drive_relaxed(
+        &mut self,
+        kernel: &mut dyn StreamKernel,
+        mut token: Token,
+        source: &mut Source,
+        epoch: usize,
+    ) -> Result<(Token, Vec<u32>)> {
+        let tables = kernel.tables();
+        let cap = self.chunk_cap();
+        let mut buf = Vec::with_capacity(cap);
+        let mut assignments = Vec::new();
+        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
+        let mut log = EpochLog::new(&loads);
+        let mut keys: Vec<u64> = Vec::new();
+        let mut since = 0usize;
+        while self.next_chunk(source, &mut buf, cap)? != 0 {
+            if !tables.is_empty() {
+                distinct_endpoints(&buf, &mut keys);
+                for &key in &keys {
+                    kernel.ensure(key as u32)?;
+                    log.touch(kernel, &tables, key);
+                }
+            }
+            for &e in &buf {
+                assignments.push(kernel.step(e, &mut loads)?);
+            }
+            since += 1;
+            if since >= epoch {
+                since = 0;
+                self.epoch_barrier(false, kernel, &tables, &mut log, &mut loads)?;
+            }
+        }
+        self.epoch_barrier(true, kernel, &tables, &mut log, &mut loads)?;
+        token.loads = loads.into_vec();
+        token.table_len = token.table_len.max(kernel.num_vertices());
+        Ok((token, assignments))
+    }
+
+    /// The CLUGP parameters `(splitting, migration tag, max_vertices)`; a
+    /// CLUGP stage sent to a worker configured for another algo is a
+    /// protocol error.
+    fn clugp_params(&self, stage: &str) -> Result<(bool, u8, u64)> {
+        match self.setup.algo {
+            AlgoSpec::Clugp {
+                splitting,
+                migration,
+                max_vertices,
+            } => Ok((splitting, migration, max_vertices)),
+            _ => Err(PartitionError::InvalidParam(format!(
+                "{stage} stage requires the CLUGP algo"
+            ))),
+        }
+    }
+
+    /// The per-chunk prelude of the sequenced CLUGP stages: fetches the
+    /// vertex rows of the chunk's endpoints into `vs` and returns the
+    /// clusters they reference, sorted and distinct.
+    fn fetch_chunk_vertices(
+        &mut self,
+        buf: &[Edge],
+        vs: &mut ClugpVertices,
+        vkeys: &mut Vec<u64>,
     ) -> Result<Vec<u64>> {
-        let k = loads.len();
-        let (mut done, mut committed, merged) = self.epoch_exchange(true, loads, tables)?;
-        for t in &merged {
-            apply(t)?;
+        distinct_endpoints(buf, vkeys);
+        let rows = self.fetch(T_MAIN, vkeys)?;
+        for (&key, row) in vkeys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
+            vs.import(key as u32, row)?;
         }
-        while !done {
-            let (d, l, merged) = self.epoch_exchange(true, vec![0; k], Vec::new())?;
-            done = d;
-            committed = l;
-            for t in &merged {
-                apply(t)?;
-            }
-        }
-        Ok(committed)
-    }
-
-    /// Relaxed Grid: stream the whole range locally, reconciling the load
-    /// vector (the only shared state Grid reads) at epoch barriers.
-    fn run_grid_relaxed(
-        &mut self,
-        seed: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let r = grid::grid_dim(k);
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut base = loads.as_slice().to_vec();
-        let mut cs_u = Vec::with_capacity(2 * r as usize);
-        let mut cs_v = Vec::with_capacity(2 * r as usize);
-        let mut since = 0usize;
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let p = grid::grid_edge(e, seed, r, k, &loads, &mut cs_u, &mut cs_v);
-                assignments.push(p);
-                loads.add(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, _) = self.epoch_exchange(false, delta, Vec::new())?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-            }
-        }
-        let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, Vec::new(), |_| Ok(()))?;
-        Ok((token, assignments))
-    }
-
-    /// Relaxed DBH: partial degrees are commutative sums, so each epoch
-    /// ships `degree - baseline` deltas under [`MergeOp::Add`] and adopts
-    /// the committed totals the coordinator broadcasts back.
-    fn run_dbh_relaxed(
-        &mut self,
-        seed: u64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut loads = std::mem::take(&mut token.loads);
-        let mut base = loads.clone();
-        let mut baseline: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut since = 0usize;
-        let flush = |baseline: &mut FxHashMap<u64, u32>, degree: &VertexTable<u32>| {
-            let mut keys: Vec<u64> = baseline.keys().copied().collect();
-            keys.sort_unstable();
-            let rows: Vec<u64> = keys
-                .iter()
-                .map(|&key| u64::from(degree[key as u32].wrapping_sub(baseline[&key])))
-                .collect();
-            baseline.clear();
-            vec![EpochTable {
-                table: T_MAIN,
-                merge: MergeOp::Add,
-                keys,
-                rows,
-            }]
-        };
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            for &key in &keys {
-                let v = key as u32;
-                degree.ensure(v)?;
-                baseline.entry(key).or_insert(degree[v]);
-            }
-            for &e in &buf {
-                let p = dbh::dbh_edge(e, seed, k, &mut degree)?;
-                loads[p as usize] += 1;
-                assignments.push(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let tables = flush(&mut baseline, &degree);
-                let delta = loads_delta(&loads, &base);
-                let (_, merged, mtabs) = self.epoch_exchange(false, delta, tables)?;
-                base.clone_from(&merged);
-                loads = merged;
-                for t in &mtabs {
-                    apply_degree_sync(&mut degree, t)?;
-                }
-            }
-        }
-        let tables = flush(&mut baseline, &degree);
-        let delta = loads_delta(&loads, &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply_degree_sync(&mut degree, t))?;
-        token.table_len = token.table_len.max(degree.len());
-        Ok((token, assignments))
-    }
-
-    /// Relaxed Greedy: replica masks are monotone under OR, so each epoch
-    /// ships the current full rows of every vertex touched since the last
-    /// barrier under [`MergeOp::BitOr`] (idempotent — no baseline needed)
-    /// plus load deltas, and adopts the committed union.
-    fn run_greedy_relaxed(
-        &mut self,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut base = loads.as_slice().to_vec();
-        let mut touched: Vec<u64> = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut since = 0usize;
-        let flush = |touched: &mut Vec<u64>, replicas: &ReplicaTable| {
-            touched.sort_unstable();
-            touched.dedup();
-            let mut rows = vec![0u64; touched.len() * wr];
-            for (i, &key) in touched.iter().enumerate() {
-                replicas.export_row(key as u32, &mut rows[i * wr..(i + 1) * wr]);
-            }
-            let keys = std::mem::take(touched);
-            vec![EpochTable {
-                table: T_MAIN,
-                merge: MergeOp::BitOr,
-                keys,
-                rows,
-            }]
-        };
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            for &key in &keys {
-                replicas.ensure_vertices(key + 1)?;
-            }
-            touched.extend_from_slice(&keys);
-            for &e in &buf {
-                let p = greedy::greedy_edge(e, &mut replicas, &mut loads)?;
-                assignments.push(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let tables = flush(&mut touched, &replicas);
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, mtabs) = self.epoch_exchange(false, delta, tables)?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-                for t in &mtabs {
-                    apply_mask_sync(&mut replicas, t)?;
-                }
-            }
-        }
-        let tables = flush(&mut touched, &replicas);
-        let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply_mask_sync(&mut replicas, t))?;
-        token.table_len = token.table_len.max(replicas.num_vertices());
-        Ok((token, assignments))
-    }
-
-    /// Relaxed HDRF: combines the Greedy mask union (T_MAIN, BitOr) with
-    /// the DBH degree sums (T_DEGREE, Add) — one touched-key set serves
-    /// both tables — plus load deltas for the balance term.
-    fn run_hdrf_relaxed(
-        &mut self,
-        lambda: f64,
-        epsilon: f64,
-        max_vertices: u64,
-        mut token: Token,
-        source: &mut Source,
-        epoch: usize,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut replicas = ReplicaTable::with_limit(0, k, max_vertices)?;
-        let wr = replicas.words_per_row();
-        let mut loads = PartitionLoads::from_vec(std::mem::take(&mut token.loads));
-        let mut base = loads.as_slice().to_vec();
-        let mut baseline: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut since = 0usize;
-        let flush = |baseline: &mut FxHashMap<u64, u32>,
-                     degree: &VertexTable<u32>,
-                     replicas: &ReplicaTable| {
-            let mut keys: Vec<u64> = baseline.keys().copied().collect();
-            keys.sort_unstable();
-            let mut mask_rows = vec![0u64; keys.len() * wr];
-            let mut deg_rows = Vec::with_capacity(keys.len());
-            for (i, &key) in keys.iter().enumerate() {
-                replicas.export_row(key as u32, &mut mask_rows[i * wr..(i + 1) * wr]);
-                deg_rows.push(u64::from(degree[key as u32].wrapping_sub(baseline[&key])));
-            }
-            baseline.clear();
-            vec![
-                EpochTable {
-                    table: T_MAIN,
-                    merge: MergeOp::BitOr,
-                    keys: keys.clone(),
-                    rows: mask_rows,
-                },
-                EpochTable {
-                    table: T_DEGREE,
-                    merge: MergeOp::Add,
-                    keys,
-                    rows: deg_rows,
-                },
-            ]
-        };
-        let apply = |degree: &mut VertexTable<u32>,
-                     replicas: &mut ReplicaTable,
-                     t: &EpochTable|
-         -> Result<()> {
-            match t.table {
-                T_MAIN => apply_mask_sync(replicas, t),
-                T_DEGREE => apply_degree_sync(degree, t),
-                other => Err(PartitionError::InvalidParam(format!(
-                    "epoch sync for unknown table slot {other}"
-                ))),
-            }
-        };
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut keys);
-            for &key in &keys {
-                let v = key as u32;
-                replicas.ensure_vertices(key + 1)?;
-                degree.ensure(v)?;
-                baseline.entry(key).or_insert(degree[v]);
-            }
-            for &e in &buf {
-                let p = hdrf::hdrf_edge(
-                    e,
-                    lambda,
-                    epsilon,
-                    k,
-                    &mut degree,
-                    &mut replicas,
-                    &mut loads,
-                )?;
-                assignments.push(p);
-            }
-            since += 1;
-            if since >= epoch {
-                since = 0;
-                let tables = flush(&mut baseline, &degree, &replicas);
-                let delta = loads_delta(loads.as_slice(), &base);
-                let (_, merged, mtabs) = self.epoch_exchange(false, delta, tables)?;
-                base.clone_from(&merged);
-                loads = PartitionLoads::from_vec(merged);
-                for t in &mtabs {
-                    apply(&mut degree, &mut replicas, t)?;
-                }
-            }
-        }
-        let tables = flush(&mut baseline, &degree, &replicas);
-        let delta = loads_delta(loads.as_slice(), &base);
-        token.loads = self.epoch_drain(delta, tables, |t| apply(&mut degree, &mut replicas, t))?;
-        token.table_len = token.table_len.max(replicas.num_vertices());
-        Ok((token, assignments))
+        let mut ckeys: Vec<u64> = vkeys
+            .iter()
+            .filter_map(|&key| {
+                let c = vs.cluster_of[key as u32];
+                (c != NO_CLUSTER).then_some(u64::from(c))
+            })
+            .collect();
+        ckeys.sort_unstable();
+        ckeys.dedup();
+        Ok(ckeys)
     }
 
     /// CLUGP pass 1. The raw-volume scratch is kept at the full global
@@ -1317,49 +1031,17 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp {
-            splitting,
-            migration,
-            max_vertices,
-        } = self.setup.algo
-        else {
-            return Err(PartitionError::InvalidParam(
-                "pass-1 stage requires the CLUGP algo".into(),
-            ));
-        };
+        let (splitting, migration, max_vertices) = self.clugp_params("pass-1")?;
         let migration = migration_from_tag(migration)?;
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
+        let mut vs = ClugpVertices::new(0, max_vertices)?;
         let mut vol: Vec<u64> = vec![0; token.next_raw as usize];
         let mut splits = token.splits;
         let mut migrations = token.migrations;
         let mut vkeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut vkeys);
-            let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (i, &key) in vkeys.iter().enumerate() {
-                let v = key as u32;
-                cluster_of.ensure(v)?;
-                degree.ensure(v)?;
-                divided.ensure(v)?;
-                let w0 = rows[3 * i];
-                cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-                degree[v] = rows[3 * i + 1] as u32;
-                divided[v] = rows[3 * i + 2] != 0;
-            }
-            let mut ckeys: Vec<u64> = vkeys
-                .iter()
-                .filter_map(|&key| {
-                    let c = cluster_of[key as u32];
-                    (c != NO_CLUSTER).then_some(u64::from(c))
-                })
-                .collect();
-            ckeys.sort_unstable();
-            ckeys.dedup();
+            let ckeys = self.fetch_chunk_vertices(&buf, &mut vs, &mut vkeys)?;
             let crows = self.fetch(T_VOL, &ckeys)?;
             for (i, &ck) in ckeys.iter().enumerate() {
                 vol[ck as usize] = crows[i];
@@ -1371,32 +1053,28 @@ impl Wk {
                     vmax,
                     splitting,
                     migration,
-                    &mut cluster_of,
-                    &mut degree,
-                    &mut divided,
+                    &mut vs.cluster_of,
+                    &mut vs.degree,
+                    &mut vs.divided,
                     &mut vol,
                     &mut splits,
                     &mut migrations,
                 )?;
             }
-            let mut vrows = Vec::with_capacity(vkeys.len() * 3);
+            let mut vrows = Vec::with_capacity(vkeys.len() * VERTEX_ROW);
             for &key in &vkeys {
-                let v = key as u32;
-                let c = cluster_of[v];
-                vrows.push(if c == NO_CLUSTER { 0 } else { u64::from(c) + 1 });
-                vrows.push(u64::from(degree[v]));
-                vrows.push(u64::from(divided[v]));
+                vrows.extend(vs.export(key as u32));
             }
-            self.publish(T_MAIN, MergeOp::Put, &vkeys, &vrows)?;
+            self.publish(&vkeys, vec![(T_MAIN, MergeOp::Put, vrows)])?;
             let mut wkeys = ckeys;
             wkeys.extend((created_from..vol.len()).map(|c| c as u64));
             let wrows: Vec<u64> = wkeys.iter().map(|&c| vol[c as usize]).collect();
-            self.publish(T_VOL, MergeOp::Put, &wkeys, &wrows)?;
+            self.publish(&wkeys, vec![(T_VOL, MergeOp::Put, wrows)])?;
         }
         token.next_raw = vol.len() as u64;
         token.splits = splits;
         token.migrations = migrations;
-        token.table_len = token.table_len.max(cluster_of.len());
+        token.table_len = token.table_len.max(vs.cluster_of.len());
         Ok((token, Vec::new(), None))
     }
 
@@ -1408,11 +1086,7 @@ impl Wk {
         token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "pairs stage requires the CLUGP algo".into(),
-            ));
-        };
+        let (_, _, max_vertices) = self.clugp_params("pairs")?;
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut cluster_of: VertexTable<u32> =
@@ -1422,27 +1096,16 @@ impl Wk {
         while self.next_chunk(source, &mut buf, cap)? != 0 {
             distinct_endpoints(&buf, &mut vkeys);
             let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (i, &key) in vkeys.iter().enumerate() {
+            for (&key, row) in vkeys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
                 let v = key as u32;
                 cluster_of.ensure(v)?;
-                let w0 = rows[3 * i];
-                cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
+                cluster_of[v] = decode_vertex_row(row).0;
             }
             for &e in &buf {
                 sink.push(cluster_of[e.src], cluster_of[e.dst]);
             }
         }
-        let (intra, agg) = sink.finish();
-        let pairs = PairsPayload {
-            intra: intra
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (i as u64, c))
-                .collect(),
-            agg,
-        };
-        Ok((token, Vec::new(), Some(pairs)))
+        Ok((token, Vec::new(), Some(pairs_payload(sink))))
     }
 
     /// CLUGP pass 3: per chunk, fetch the dense vertex rows plus the
@@ -1454,59 +1117,27 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "transform stage requires the CLUGP algo".into(),
-            ));
-        };
+        let (_, _, max_vertices) = self.clugp_params("transform")?;
         let k = self.setup.k;
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut assignments = Vec::new();
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
+        let mut vs = ClugpVertices::new(0, max_vertices)?;
         let mut cpart: Vec<u32> = Vec::new();
         let mut loads = std::mem::take(&mut token.loads);
         let mut cursor = token.cursor;
         let mut reroutes = token.reroutes;
         let mut vkeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut vkeys);
-            let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (i, &key) in vkeys.iter().enumerate() {
-                let v = key as u32;
-                cluster_of.ensure(v)?;
-                degree.ensure(v)?;
-                divided.ensure(v)?;
-                let w0 = rows[3 * i];
-                cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-                degree[v] = rows[3 * i + 1] as u32;
-                divided[v] = rows[3 * i + 2] != 0;
-            }
-            let mut ckeys: Vec<u64> = vkeys
-                .iter()
-                .filter_map(|&key| {
-                    let c = cluster_of[key as u32];
-                    (c != NO_CLUSTER).then_some(u64::from(c))
-                })
-                .collect();
-            ckeys.sort_unstable();
-            ckeys.dedup();
+            let ckeys = self.fetch_chunk_vertices(&buf, &mut vs, &mut vkeys)?;
             let crows = self.fetch(T_CPART, &ckeys)?;
-            for (i, &ck) in ckeys.iter().enumerate() {
-                if ck as usize >= cpart.len() {
-                    cpart.resize(ck as usize + 1, 0);
-                }
-                cpart[ck as usize] = crows[i] as u32;
-            }
+            fill_cpart(&mut cpart, &ckeys, &crows);
             for &e in &buf {
                 let p = transform_edge(
                     e,
-                    &cluster_of,
-                    &degree,
-                    &divided,
+                    &vs.cluster_of,
+                    &vs.degree,
+                    &vs.divided,
                     &cpart,
                     lmax,
                     k,
@@ -1520,7 +1151,7 @@ impl Wk {
         token.loads = loads;
         token.cursor = cursor;
         token.reroutes = reroutes;
-        token.table_len = token.table_len.max(cluster_of.len());
+        token.table_len = token.table_len.max(vs.cluster_of.len());
         Ok((token, assignments, None))
     }
 
@@ -1535,32 +1166,17 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp {
-            splitting,
-            migration,
-            max_vertices,
-        } = self.setup.algo
-        else {
-            return Err(PartitionError::InvalidParam(
-                "pass-1 stage requires the CLUGP algo".into(),
-            ));
-        };
+        let (splitting, migration, max_vertices) = self.clugp_params("pass-1")?;
         let migration = migration_from_tag(migration)?;
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
+        let mut vs = ClugpVertices::new(0, max_vertices)?;
         let mut vol: Vec<u64> = Vec::new();
         let mut splits = token.splits;
         let mut migrations = token.migrations;
         while self.next_chunk(source, &mut buf, cap)? != 0 {
             for &e in &buf {
-                let m = e.src.max(e.dst);
-                cluster_of.ensure(m)?;
-                degree.ensure(m)?;
-                divided.ensure(m)?;
+                vs.ensure(e.src.max(e.dst))?;
             }
             for &e in &buf {
                 pass1_edge(
@@ -1568,9 +1184,9 @@ impl Wk {
                     vmax,
                     splitting,
                     migration,
-                    &mut cluster_of,
-                    &mut degree,
-                    &mut divided,
+                    &mut vs.cluster_of,
+                    &mut vs.degree,
+                    &mut vs.divided,
                     &mut vol,
                     &mut splits,
                     &mut migrations,
@@ -1579,58 +1195,40 @@ impl Wk {
         }
         let mut keys = Vec::new();
         let mut rows = Vec::new();
-        for key in 0..cluster_of.len() {
-            let v = key as u32;
-            let c = cluster_of[v];
-            let d = degree[v];
-            let dv = divided[v];
-            if c == NO_CLUSTER && d == 0 && !dv {
-                continue;
+        for key in 0..vs.cluster_of.len() {
+            // An all-zero row is a vertex no edge of this range touched.
+            let row = vs.export(key as u32);
+            if row != [0; VERTEX_ROW] {
+                keys.push(key);
+                rows.extend(row);
             }
-            keys.push(key);
-            rows.push(if c == NO_CLUSTER { 0 } else { u64::from(c) + 1 });
-            rows.push(u64::from(d));
-            rows.push(u64::from(dv));
         }
         token.next_raw = vol.len() as u64;
         token.splits = splits;
         token.migrations = migrations;
-        token.table_len = token.table_len.max(cluster_of.len());
+        token.table_len = token.table_len.max(vs.cluster_of.len());
         self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
         Ok((token, Vec::new(), None))
     }
 
-    /// Decodes the T_MAIN cast (width-3 vertex rows) the coordinator
-    /// broadcast ahead of a relaxed CLUGP stage.
-    fn cast_cluster_of(
-        &mut self,
-        max_vertices: u64,
-    ) -> Result<(VertexTable<u32>, VertexTable<u32>, VertexTable<bool>)> {
+    /// Decodes the [`T_MAIN`] cast the coordinator broadcast ahead of a
+    /// relaxed CLUGP stage.
+    fn cast_vertices(&mut self, max_vertices: u64) -> Result<ClugpVertices> {
         let Some((keys, rows)) = self.casts.remove(&T_MAIN) else {
             return Err(PartitionError::InvalidParam(
                 "relaxed CLUGP stage started without a table cast".into(),
             ));
         };
-        if rows.len() != keys.len() * 3 {
+        if rows.len() != keys.len() * VERTEX_ROW {
             return Err(PartitionError::InvalidParam(
                 "table cast payload does not match key count".into(),
             ));
         }
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(0, 0, max_vertices)?;
-        let mut divided: VertexTable<bool> = VertexTable::with_limit(0, false, max_vertices)?;
-        for (i, &key) in keys.iter().enumerate() {
-            let v = key as u32;
-            cluster_of.ensure(v)?;
-            degree.ensure(v)?;
-            divided.ensure(v)?;
-            let w0 = rows[3 * i];
-            cluster_of[v] = if w0 == 0 { NO_CLUSTER } else { (w0 - 1) as u32 };
-            degree[v] = rows[3 * i + 1] as u32;
-            divided[v] = rows[3 * i + 2] != 0;
+        let mut vs = ClugpVertices::new(0, max_vertices)?;
+        for (&key, row) in keys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
+            vs.import(key as u32, row)?;
         }
-        Ok((cluster_of, degree, divided))
+        Ok(vs)
     }
 
     /// Relaxed CLUGP pairs: the dense cluster ids arrive as a read-only
@@ -1641,12 +1239,8 @@ impl Wk {
         token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "pairs stage requires the CLUGP algo".into(),
-            ));
-        };
-        let (mut cluster_of, _, _) = self.cast_cluster_of(max_vertices)?;
+        let (_, _, max_vertices) = self.clugp_params("pairs")?;
+        let mut cluster_of = self.cast_vertices(max_vertices)?.cluster_of;
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut sink = PairSink::new(num_clusters as usize);
@@ -1656,17 +1250,7 @@ impl Wk {
                 sink.push(cluster_of[e.src], cluster_of[e.dst]);
             }
         }
-        let (intra, agg) = sink.finish();
-        let pairs = PairsPayload {
-            intra: intra
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (i as u64, c))
-                .collect(),
-            agg,
-        };
-        Ok((token, Vec::new(), Some(pairs)))
+        Ok((token, Vec::new(), Some(pairs_payload(sink))))
     }
 
     /// Relaxed CLUGP pass 3: vertex rows and the cluster→partition map
@@ -1678,13 +1262,9 @@ impl Wk {
         mut token: Token,
         source: &mut Source,
     ) -> Result<StageOut> {
-        let AlgoSpec::Clugp { max_vertices, .. } = self.setup.algo else {
-            return Err(PartitionError::InvalidParam(
-                "transform stage requires the CLUGP algo".into(),
-            ));
-        };
+        let (_, _, max_vertices) = self.clugp_params("transform")?;
         let k = self.setup.k;
-        let (mut cluster_of, mut degree, mut divided) = self.cast_cluster_of(max_vertices)?;
+        let mut vs = self.cast_vertices(max_vertices)?;
         let Some((ckeys, crows)) = self.casts.remove(&T_CPART) else {
             return Err(PartitionError::InvalidParam(
                 "relaxed transform stage started without a cluster-partition cast".into(),
@@ -1696,12 +1276,7 @@ impl Wk {
             ));
         }
         let mut cpart: Vec<u32> = Vec::new();
-        for (i, &ck) in ckeys.iter().enumerate() {
-            if ck as usize >= cpart.len() {
-                cpart.resize(ck as usize + 1, 0);
-            }
-            cpart[ck as usize] = crows[i] as u32;
-        }
+        fill_cpart(&mut cpart, &ckeys, &crows);
         // Each worker gets an even slice of the global cap. The slice can be
         // infeasible for this worker's share of the stream (contiguous edge
         // ranges are not perfectly even), so the cap grows one slot per
@@ -1718,10 +1293,7 @@ impl Wk {
         let mut placed: u64 = loads.as_slice().iter().sum();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
             for &e in &buf {
-                let m = e.src.max(e.dst);
-                cluster_of.ensure(m)?;
-                degree.ensure(m)?;
-                divided.ensure(m)?;
+                vs.ensure(e.src.max(e.dst))?;
             }
             for &e in &buf {
                 if placed == u64::from(k) * lmax {
@@ -1730,9 +1302,9 @@ impl Wk {
                 placed += 1;
                 let p = transform_edge(
                     e,
-                    &cluster_of,
-                    &degree,
-                    &divided,
+                    &vs.cluster_of,
+                    &vs.degree,
+                    &vs.divided,
                     &cpart,
                     lmax,
                     k,
@@ -1746,7 +1318,7 @@ impl Wk {
         token.loads = loads;
         token.cursor = cursor;
         token.reroutes = reroutes;
-        token.table_len = token.table_len.max(cluster_of.len());
+        token.table_len = token.table_len.max(vs.cluster_of.len());
         Ok((token, assignments, None))
     }
 }
@@ -1762,43 +1334,171 @@ fn distinct_endpoints(buf: &[Edge], keys: &mut Vec<u64>) {
     keys.dedup();
 }
 
-/// Element-wise wrapping difference `cur - base`: the per-epoch load
-/// delta a relaxed worker ships at a barrier.
-fn loads_delta(cur: &[u64], base: &[u64]) -> Vec<u64> {
-    cur.iter()
-        .zip(base)
-        .map(|(&c, &b)| c.wrapping_sub(b))
-        .collect()
+/// The worker's share of the cluster graph, sparse in the intra weights.
+fn pairs_payload(sink: PairSink) -> PairsPayload {
+    let (intra, agg) = sink.finish();
+    PairsPayload {
+        intra: intra
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (i as u64, c))
+            .collect(),
+        agg,
+    }
 }
 
-/// Adopts committed width-1 degree totals from an epoch-sync frame.
-fn apply_degree_sync(degree: &mut VertexTable<u32>, t: &EpochTable) -> Result<()> {
-    if t.rows.len() != t.keys.len() {
+/// Writes fetched or cast cluster → partition rows into the dense map.
+fn fill_cpart(cpart: &mut Vec<u32>, keys: &[u64], rows: &[u64]) {
+    for (&ck, &p) in keys.iter().zip(rows) {
+        if ck as usize >= cpart.len() {
+            cpart.resize(ck as usize + 1, 0);
+        }
+        cpart[ck as usize] = p as u32;
+    }
+}
+
+/// Exports `keys`' rows of table `slot`, flattened in key order.
+fn export_rows(kernel: &dyn StreamKernel, slot: usize, width: u32, keys: &[u64]) -> Vec<u64> {
+    let mut rows = vec![0u64; keys.len() * width as usize];
+    for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(width as usize)) {
+        kernel.export(slot, key as u32, row);
+    }
+    rows
+}
+
+/// What a relaxed worker changed since its last epoch barrier: the loads
+/// as of that barrier, and the touched keys, each with its `Add`-table
+/// rows as of its first touch (the baselines its deltas are taken
+/// against).
+struct EpochLog {
+    loads: Vec<u64>,
+    /// Key → offset of its baseline rows in `baseline`.
+    keys: FxHashMap<u64, usize>,
+    baseline: Vec<u64>,
+}
+
+impl EpochLog {
+    fn new(loads: &PartitionLoads) -> Self {
+        EpochLog {
+            loads: loads.as_slice().to_vec(),
+            keys: FxHashMap::default(),
+            baseline: Vec::new(),
+        }
+    }
+
+    fn touch(&mut self, kernel: &dyn StreamKernel, tables: &[KernelTable], key: u64) {
+        let Entry::Vacant(slot) = self.keys.entry(key) else {
+            return;
+        };
+        slot.insert(self.baseline.len());
+        for (t, def) in tables.iter().enumerate() {
+            if def.merge == MergeOp::Add {
+                let at = self.baseline.len();
+                self.baseline.resize(at + def.width as usize, 0);
+                kernel.export(t, key as u32, &mut self.baseline[at..]);
+            }
+        }
+    }
+
+    /// Drains the log into a barrier's payload: the load deltas, and one
+    /// [`EpochTable`] per declared table over the touched keys ascending —
+    /// deltas for `Add` tables, full rows for the others (`BitOr` is
+    /// idempotent, so no baseline is needed).
+    fn flush(
+        &mut self,
+        kernel: &dyn StreamKernel,
+        tables: &[KernelTable],
+        loads: &PartitionLoads,
+    ) -> (Vec<u64>, Vec<EpochTable>) {
+        let delta = loads
+            .as_slice()
+            .iter()
+            .zip(&self.loads)
+            .map(|(&c, &b)| c.wrapping_sub(b))
+            .collect();
+        let mut entries: Vec<(u64, usize)> = self.keys.drain().collect();
+        entries.sort_unstable();
+        let keys: Vec<u64> = entries.iter().map(|&(key, _)| key).collect();
+        let mut add_off = 0;
+        let out = tables
+            .iter()
+            .enumerate()
+            .map(|(t, def)| {
+                let mut rows = export_rows(kernel, t, def.width, &keys);
+                if def.merge == MergeOp::Add {
+                    let w = def.width as usize;
+                    for (row, &(_, at)) in rows.chunks_exact_mut(w).zip(&entries) {
+                        let base = &self.baseline[at + add_off..at + add_off + w];
+                        for (r, b) in row.iter_mut().zip(base) {
+                            *r = r.wrapping_sub(*b);
+                        }
+                    }
+                    add_off += w;
+                }
+                EpochTable {
+                    table: t as u8,
+                    merge: def.merge,
+                    keys: keys.clone(),
+                    rows,
+                }
+            })
+            .collect();
+        self.baseline.clear();
+        (delta, out)
+    }
+}
+
+/// Adopts the committed rows of an epoch-sync frame. A committed row
+/// folds in this worker's own contribution (an `Add` total or a `BitOr`
+/// union), so overwriting the local row loses nothing.
+fn adopt_synced(
+    kernel: &mut dyn StreamKernel,
+    tables: &[KernelTable],
+    t: &EpochTable,
+) -> Result<()> {
+    let Some(def) = tables.get(t.table as usize) else {
+        return Err(PartitionError::InvalidParam(format!(
+            "epoch sync for unknown table slot {}",
+            t.table
+        )));
+    };
+    let w = def.width as usize;
+    if t.rows.len() != t.keys.len() * w {
         return Err(PartitionError::InvalidParam(
             "epoch sync payload does not match key count".into(),
         ));
     }
-    for (i, &key) in t.keys.iter().enumerate() {
-        let v = key as u32;
-        degree.ensure(v)?;
-        degree[v] = t.rows[i] as u32;
+    for (&key, row) in t.keys.iter().zip(t.rows.chunks_exact(w)) {
+        kernel.ensure(key as u32)?;
+        kernel.import(t.table as usize, key as u32, row);
     }
     Ok(())
 }
 
-/// Adopts committed replica-mask rows from an epoch-sync frame. The
-/// committed row is a superset of the local one (OR-merge of a set this
-/// worker contributed to), so overwriting never loses local bits.
-fn apply_mask_sync(replicas: &mut ReplicaTable, t: &EpochTable) -> Result<()> {
-    let wr = replicas.words_per_row();
-    if t.rows.len() != t.keys.len() * wr {
-        return Err(PartitionError::InvalidParam(
-            "epoch sync payload does not match key count".into(),
-        ));
-    }
-    for (i, &key) in t.keys.iter().enumerate() {
-        replicas.ensure_vertices(key + 1)?;
-        replicas.import_row(key as u32, &t.rows[i * wr..(i + 1) * wr]);
-    }
-    Ok(())
+/// The stream kernel a baseline [`AlgoSpec`] runs, built empty (workers
+/// grow their tables on demand); `None` for the algorithms driven
+/// otherwise (Hashing, Mint, CLUGP).
+pub(crate) fn stream_kernel(spec: &AlgoSpec, k: u32) -> Result<Option<Box<dyn StreamKernel>>> {
+    Ok(Some(match *spec {
+        AlgoSpec::Grid { seed } => Box::new(GridKernel::new(seed, k)),
+        AlgoSpec::Dbh { seed, max_vertices } => Box::new(DbhKernel::new(0, k, seed, max_vertices)?),
+        AlgoSpec::Greedy { max_vertices } => Box::new(GreedyKernel::new(0, k, max_vertices)?),
+        AlgoSpec::Hdrf {
+            lambda,
+            epsilon,
+            max_vertices,
+        } => Box::new(HdrfKernel::new(
+            0,
+            k,
+            &HdrfConfig {
+                lambda,
+                epsilon,
+                max_vertices,
+            },
+        )?),
+        AlgoSpec::Hashing { .. } | AlgoSpec::Mint { .. } | AlgoSpec::Clugp { .. } => {
+            return Ok(None)
+        }
+    }))
 }

@@ -7,29 +7,79 @@
 //! (the streaming adaptation; the original assumes a degree oracle).
 
 use crate::error::Result;
+use crate::kernel::{partition_with, KernelTable, StreamKernel, DEGREE_TABLE};
 use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
 use crate::vertex_table::{VertexTable, DEFAULT_MAX_VERTICES};
-use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
-use clugp_graph::types::Edge;
+use clugp_graph::stream::RestreamableStream;
+use clugp_graph::types::{Edge, VertexId};
 
-/// Per-edge DBH kernel: bumps partial degrees and picks the partition by
-/// hashing the lower-degree endpoint. Shared by the monolithic loop and
-/// the distributed worker so both paths stay bit-identical.
-#[inline]
-pub(crate) fn dbh_edge(e: Edge, seed: u64, k: u32, degree: &mut VertexTable<u32>) -> Result<u32> {
-    degree.ensure(e.src.max(e.dst))?;
-    degree[e.src] += 1;
-    degree[e.dst] += 1;
-    // Hash the lower-degree endpoint (cut the higher-degree one).
-    let key = if degree[e.src] <= degree[e.dst] {
-        e.src
-    } else {
-        e.dst
-    };
-    Ok((mix64(u64::from(key) ^ seed) % u64::from(k)) as u32)
+/// The DBH kernel: bumps partial degrees and picks the partition by
+/// hashing the lower-degree endpoint. Its one table is the degree array,
+/// a commutative sum, so relaxed mode reconciles it under `Add`.
+pub(crate) struct DbhKernel {
+    seed: u64,
+    k: u32,
+    degree: VertexTable<u32>,
+}
+
+impl DbhKernel {
+    pub(crate) fn new(n: u64, k: u32, seed: u64, max_vertices: u64) -> Result<Self> {
+        Ok(DbhKernel {
+            seed,
+            k,
+            degree: VertexTable::with_limit(n, 0, max_vertices)?,
+        })
+    }
+}
+
+impl StreamKernel for DbhKernel {
+    fn tables(&self) -> Vec<KernelTable> {
+        vec![DEGREE_TABLE]
+    }
+
+    fn vertex_cap(&self) -> Option<(u64, &'static str)> {
+        Some((self.degree.limit(), "num_vertices hint"))
+    }
+
+    fn ensure(&mut self, v: VertexId) -> Result<()> {
+        self.degree.ensure(v)
+    }
+
+    fn import(&mut self, _slot: usize, v: VertexId, row: &[u64]) {
+        self.degree[v] = row[0] as u32;
+    }
+
+    fn export(&self, _slot: usize, v: VertexId, row: &mut [u64]) {
+        row[0] = u64::from(self.degree[v]);
+    }
+
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &mut PartitionLoads) -> Result<u32> {
+        let degree = &mut self.degree;
+        degree.ensure(e.src.max(e.dst))?;
+        degree[e.src] += 1;
+        degree[e.dst] += 1;
+        // Hash the lower-degree endpoint (cut the higher-degree one).
+        let key = if degree[e.src] <= degree[e.dst] {
+            e.src
+        } else {
+            e.dst
+        };
+        let p = (mix64(u64::from(key) ^ self.seed) % u64::from(self.k)) as u32;
+        loads.add(p);
+        Ok(p)
+    }
+
+    fn num_vertices(&self) -> u64 {
+        self.degree.len()
+    }
+
+    fn memory(&self, _loads: &PartitionLoads) -> MemoryReport {
+        MemoryReport::of(&[("degrees", self.degree.memory_bytes())])
+    }
 }
 
 /// Default hash seed (shared with the distributed engine so
@@ -70,33 +120,8 @@ impl Partitioner for Dbh {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(n, 0, self.max_vertices)?;
-        let mut assignments = Vec::with_capacity(m as usize);
-        let mut loads = PartitionLoads::new(k);
-        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-            for &e in chunk {
-                let p = dbh_edge(e, self.seed, k, &mut degree)?;
-                assignments.push(p);
-                loads.add(p);
-            }
-            Ok(())
-        })?;
-        let mut memory = MemoryReport::new();
-        memory.add("degrees", degree.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n.max(degree.len()),
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
+        partition_with(stream, k, |n| {
+            DbhKernel::new(n, k, self.seed, self.max_vertices)
         })
     }
 }
@@ -157,6 +182,8 @@ mod tests {
         let mut s = InMemoryStream::from_edges(star(100));
         let run = Dbh::default().partition(&mut s, 5).unwrap();
         assert!(run.memory.get("degrees").unwrap() >= 101 * 4);
+        // The degree array is DBH's only state: loads are not charged.
+        assert_eq!(run.memory.items(), [("degrees".to_string(), 101 * 4)]);
     }
 
     #[test]

@@ -11,61 +11,103 @@
 //! heuristics' cost: every decision reads it and every placement writes it.
 
 use crate::error::Result;
+use crate::kernel::{mask_table, partition_with, KernelTable, StreamKernel};
 use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::Partitioner;
 use crate::state::{PartitionLoads, ReplicaTable};
 use crate::vertex_table::DEFAULT_MAX_VERTICES;
-use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
-use clugp_graph::types::Edge;
+use clugp_graph::stream::RestreamableStream;
+use clugp_graph::types::{Edge, VertexId};
 
-/// Per-edge greedy kernel: the four-case PowerGraph rule over the replica
-/// table and loads, inserting both endpoints and returning the partition.
-/// Shared by the monolithic loop and the distributed worker so both paths
-/// stay bit-identical.
-#[inline]
-pub(crate) fn greedy_edge(
-    e: Edge,
-    replicas: &mut ReplicaTable,
-    loads: &mut PartitionLoads,
-) -> Result<u32> {
-    replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
-    let cu = replicas.count(e.src);
-    let cv = replicas.count(e.dst);
-    let p = if cu > 0 && cv > 0 {
-        let both = loads.argmin_among(
-            replicas
-                .partitions_of(e.src)
-                .filter(|&p| replicas.contains(e.dst, p)),
-        );
-        match both {
-            Some(p) => p, // case 1: intersection
-            None => {
-                // case 2: union of the two replica sets
-                loads
-                    .argmin_among(
-                        replicas
-                            .partitions_of(e.src)
-                            .chain(replicas.partitions_of(e.dst)),
-                    )
-                    .expect("both sets nonempty")
+/// The greedy kernel: the four-case PowerGraph rule over the replica
+/// table and loads. Replica masks only ever gain bits, so relaxed mode
+/// reconciles them under `BitOr`.
+pub(crate) struct GreedyKernel {
+    replicas: ReplicaTable,
+}
+
+impl GreedyKernel {
+    pub(crate) fn new(n: u64, k: u32, max_vertices: u64) -> Result<Self> {
+        Ok(GreedyKernel {
+            replicas: ReplicaTable::with_limit(n, k, max_vertices)?,
+        })
+    }
+}
+
+impl StreamKernel for GreedyKernel {
+    fn tables(&self) -> Vec<KernelTable> {
+        vec![mask_table(self.replicas.words_per_row())]
+    }
+
+    fn vertex_cap(&self) -> Option<(u64, &'static str)> {
+        Some((self.replicas.limit(), "num_vertices"))
+    }
+
+    fn ensure(&mut self, v: VertexId) -> Result<()> {
+        self.replicas.ensure_vertices(u64::from(v) + 1)
+    }
+
+    fn import(&mut self, _slot: usize, v: VertexId, row: &[u64]) {
+        self.replicas.import_row(v, row);
+    }
+
+    fn export(&self, _slot: usize, v: VertexId, row: &mut [u64]) {
+        self.replicas.export_row(v, row);
+    }
+
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &mut PartitionLoads) -> Result<u32> {
+        let replicas = &mut self.replicas;
+        replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
+        let cu = replicas.count(e.src);
+        let cv = replicas.count(e.dst);
+        let p = if cu > 0 && cv > 0 {
+            let both = loads.argmin_among(
+                replicas
+                    .partitions_of(e.src)
+                    .filter(|&p| replicas.contains(e.dst, p)),
+            );
+            match both {
+                Some(p) => p, // case 1: intersection
+                None => {
+                    // case 2: union of the two replica sets
+                    loads
+                        .argmin_among(
+                            replicas
+                                .partitions_of(e.src)
+                                .chain(replicas.partitions_of(e.dst)),
+                        )
+                        .expect("both sets nonempty")
+                }
             }
-        }
-    } else if cu > 0 {
-        loads
-            .argmin_among(replicas.partitions_of(e.src))
-            .expect("A(u) nonempty")
-    } else if cv > 0 {
-        loads
-            .argmin_among(replicas.partitions_of(e.dst))
-            .expect("A(v) nonempty")
-    } else {
-        loads.argmin() // case 4: fresh edge
-    };
-    replicas.insert(e.src, p);
-    replicas.insert(e.dst, p);
-    loads.add(p);
-    Ok(p)
+        } else if cu > 0 {
+            loads
+                .argmin_among(replicas.partitions_of(e.src))
+                .expect("A(u) nonempty")
+        } else if cv > 0 {
+            loads
+                .argmin_among(replicas.partitions_of(e.dst))
+                .expect("A(v) nonempty")
+        } else {
+            loads.argmin() // case 4: fresh edge
+        };
+        replicas.insert(e.src, p);
+        replicas.insert(e.dst, p);
+        loads.add(p);
+        Ok(p)
+    }
+
+    fn num_vertices(&self) -> u64 {
+        self.replicas.num_vertices()
+    }
+
+    fn memory(&self, loads: &PartitionLoads) -> MemoryReport {
+        MemoryReport::of(&[
+            ("replica-table", self.replicas.memory_bytes()),
+            ("loads", loads.memory_bytes()),
+        ])
+    }
 }
 
 /// The PowerGraph greedy (oblivious) partitioner.
@@ -102,36 +144,7 @@ impl Partitioner for Greedy {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let mut replicas = ReplicaTable::with_limit(n, k, self.max_vertices)?;
-        let mut loads = PartitionLoads::new(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-
-        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-            for &e in chunk {
-                let p = greedy_edge(e, &mut replicas, &mut loads)?;
-                assignments.push(p);
-            }
-            Ok(())
-        })?;
-
-        let mut memory = MemoryReport::new();
-        memory.add("replica-table", replicas.memory_bytes());
-        memory.add("loads", loads.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n.max(replicas.num_vertices()),
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        partition_with(stream, k, |n| GreedyKernel::new(n, k, self.max_vertices))
     }
 }
 
@@ -222,5 +235,8 @@ mod tests {
         let mut s = InMemoryStream::from_edges(edges);
         let run = Greedy::new().partition(&mut s, 4).unwrap();
         assert!(run.memory.get("replica-table").unwrap() > 0);
+        let names: Vec<&str> = run.memory.items().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["replica-table", "loads"]);
+        assert_eq!(run.memory.get("loads"), Some(4 * 8));
     }
 }

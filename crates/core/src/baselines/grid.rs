@@ -11,12 +11,13 @@
 //! state beyond the load array.
 
 use crate::error::Result;
+use crate::kernel::{partition_with, KernelTable, StreamKernel};
 use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
-use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
-use clugp_graph::types::VertexId;
+use clugp_graph::stream::RestreamableStream;
+use clugp_graph::types::{Edge, VertexId};
 
 /// Default hash seed (shared with the distributed engine so
 /// `DistAlgo::grid()` matches `Grid::default()`).
@@ -41,32 +42,59 @@ impl Default for Grid {
     }
 }
 
-/// Per-edge grid kernel: least-loaded partition in the intersection of the
-/// endpoints' constraint sets, union as fallback. Shared by the monolithic
-/// loop and the distributed worker so both paths stay bit-identical.
-#[inline]
-pub(crate) fn grid_edge(
-    e: clugp_graph::types::Edge,
+/// The grid kernel: least-loaded partition in the intersection of the
+/// endpoints' constraint sets, union as fallback. Grid keeps no per-vertex
+/// state, so every driver reconciles nothing but the loads.
+pub(crate) struct GridKernel {
     seed: u64,
     r: u64,
     k: u32,
-    loads: &PartitionLoads,
-    cs_u: &mut Vec<u32>,
-    cs_v: &mut Vec<u32>,
-) -> u32 {
-    constraint_set(e.src, seed, r, k, cs_u);
-    constraint_set(e.dst, seed, r, k, cs_v);
-    loads
-        .argmin_among(cs_u.iter().copied().filter(|p| cs_v.contains(p)))
-        // Overhung grids may have disjoint sets; fall back to the
-        // union (still bounded replication).
-        .or_else(|| loads.argmin_among(cs_u.iter().chain(cs_v.iter()).copied()))
-        .expect("constraint sets are never empty")
+    cs_u: Vec<u32>,
+    cs_v: Vec<u32>,
+}
+
+impl GridKernel {
+    pub(crate) fn new(seed: u64, k: u32) -> Self {
+        let r = grid_dim(k);
+        GridKernel {
+            seed,
+            r,
+            k,
+            cs_u: Vec::with_capacity(2 * r as usize),
+            cs_v: Vec::with_capacity(2 * r as usize),
+        }
+    }
+}
+
+impl StreamKernel for GridKernel {
+    fn tables(&self) -> Vec<KernelTable> {
+        Vec::new()
+    }
+
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &mut PartitionLoads) -> Result<u32> {
+        let (seed, r, k) = (self.seed, self.r, self.k);
+        constraint_set(e.src, seed, r, k, &mut self.cs_u);
+        constraint_set(e.dst, seed, r, k, &mut self.cs_v);
+        let cs_v = &self.cs_v;
+        let p = loads
+            .argmin_among(self.cs_u.iter().copied().filter(|p| cs_v.contains(p)))
+            // Overhung grids may have disjoint sets; fall back to the
+            // union (still bounded replication).
+            .or_else(|| loads.argmin_among(self.cs_u.iter().chain(cs_v.iter()).copied()))
+            .expect("constraint sets are never empty");
+        loads.add(p);
+        Ok(p)
+    }
+
+    fn memory(&self, loads: &PartitionLoads) -> MemoryReport {
+        MemoryReport::of(&[("loads", loads.memory_bytes())])
+    }
 }
 
 /// Grid dimension for `k` partitions.
 #[inline]
-pub(crate) fn grid_dim(k: u32) -> u64 {
+fn grid_dim(k: u32) -> u64 {
     (f64::from(k)).sqrt().ceil() as u64
 }
 
@@ -103,35 +131,7 @@ impl Partitioner for Grid {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let r = grid_dim(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-        let mut loads = PartitionLoads::new(k);
-        let mut cs_u = Vec::with_capacity(2 * r as usize);
-        let mut cs_v = Vec::with_capacity(2 * r as usize);
-        for_each_chunk(stream, chunk_edges(), |chunk| {
-            for &e in chunk {
-                let p = grid_edge(e, self.seed, r, k, &loads, &mut cs_u, &mut cs_v);
-                assignments.push(p);
-                loads.add(p);
-            }
-        });
-        let mut memory = MemoryReport::new();
-        memory.add("loads", loads.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n,
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        partition_with(stream, k, |_| Ok(GridKernel::new(self.seed, k)))
     }
 }
 
@@ -213,6 +213,13 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn memory_reports_loads_only() {
+        let mut s = InMemoryStream::from_edges(ring(100));
+        let run = Grid::default().partition(&mut s, 9).unwrap();
+        assert_eq!(run.memory.items(), [("loads".to_string(), 9 * 8)]);
     }
 
     #[test]

@@ -14,58 +14,114 @@
 //! vertices end up replicated — the "replicate high-degree first" rule.
 
 use crate::error::Result;
+use crate::kernel::{mask_table, partition_with, KernelTable, StreamKernel, DEGREE_TABLE};
 use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::Partitioner;
 use crate::state::{PartitionLoads, ReplicaTable};
 use crate::vertex_table::{VertexTable, DEFAULT_MAX_VERTICES};
-use clugp_graph::stream::{chunk_edges, try_for_each_chunk, RestreamableStream};
-use clugp_graph::types::Edge;
+use clugp_graph::stream::RestreamableStream;
+use clugp_graph::types::{Edge, VertexId};
 
-/// Per-edge HDRF kernel: scores every partition and inserts both
-/// endpoints. Shared by the monolithic loop and the distributed worker so
-/// both paths stay bit-identical.
-#[inline]
-pub(crate) fn hdrf_edge(
-    e: Edge,
+/// The HDRF kernel: scores every partition and inserts both endpoints.
+/// Slot 0 is the replica mask (reconciled under `BitOr`, like Greedy's),
+/// slot 1 the partial degrees (under `Add`, like DBH's).
+pub(crate) struct HdrfKernel {
     lambda: f64,
     epsilon: f64,
     k: u32,
-    degree: &mut VertexTable<u32>,
-    replicas: &mut ReplicaTable,
-    loads: &mut PartitionLoads,
-) -> Result<u32> {
-    degree.ensure(e.src.max(e.dst))?;
-    replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
-    degree[e.src] += 1;
-    degree[e.dst] += 1;
-    let du = f64::from(degree[e.src]);
-    let dv = f64::from(degree[e.dst]);
-    let theta_u = du / (du + dv);
-    let theta_v = 1.0 - theta_u;
-    let (maxload, minload) = (loads.max() as f64, loads.min() as f64);
-    let denom = epsilon + maxload - minload;
+    degree: VertexTable<u32>,
+    replicas: ReplicaTable,
+}
 
-    let mut best_p = 0u32;
-    let mut best_score = f64::NEG_INFINITY;
-    for p in 0..k {
-        let mut score = 0.0;
-        if replicas.contains(e.src, p) {
-            score += 1.0 + (1.0 - theta_u);
-        }
-        if replicas.contains(e.dst, p) {
-            score += 1.0 + (1.0 - theta_v);
-        }
-        score += lambda * (maxload - loads.get(p) as f64) / denom;
-        if score > best_score {
-            best_score = score;
-            best_p = p;
+impl HdrfKernel {
+    pub(crate) fn new(n: u64, k: u32, config: &HdrfConfig) -> Result<Self> {
+        let cap = config.max_vertices;
+        Ok(HdrfKernel {
+            lambda: config.lambda,
+            epsilon: config.epsilon,
+            k,
+            degree: VertexTable::with_limit(n, 0, cap)?,
+            replicas: ReplicaTable::with_limit(n, k, cap)?,
+        })
+    }
+}
+
+impl StreamKernel for HdrfKernel {
+    fn tables(&self) -> Vec<KernelTable> {
+        vec![mask_table(self.replicas.words_per_row()), DEGREE_TABLE]
+    }
+
+    fn vertex_cap(&self) -> Option<(u64, &'static str)> {
+        Some((self.degree.limit(), "num_vertices hint"))
+    }
+
+    fn ensure(&mut self, v: VertexId) -> Result<()> {
+        self.replicas.ensure_vertices(u64::from(v) + 1)?;
+        self.degree.ensure(v)
+    }
+
+    fn import(&mut self, slot: usize, v: VertexId, row: &[u64]) {
+        match slot {
+            0 => self.replicas.import_row(v, row),
+            _ => self.degree[v] = row[0] as u32,
         }
     }
-    replicas.insert(e.src, best_p);
-    replicas.insert(e.dst, best_p);
-    loads.add(best_p);
-    Ok(best_p)
+
+    fn export(&self, slot: usize, v: VertexId, row: &mut [u64]) {
+        match slot {
+            0 => self.replicas.export_row(v, row),
+            _ => row[0] = u64::from(self.degree[v]),
+        }
+    }
+
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &mut PartitionLoads) -> Result<u32> {
+        let (degree, replicas) = (&mut self.degree, &mut self.replicas);
+        degree.ensure(e.src.max(e.dst))?;
+        replicas.ensure_vertices(u64::from(e.src.max(e.dst)) + 1)?;
+        degree[e.src] += 1;
+        degree[e.dst] += 1;
+        let du = f64::from(degree[e.src]);
+        let dv = f64::from(degree[e.dst]);
+        let theta_u = du / (du + dv);
+        let theta_v = 1.0 - theta_u;
+        let (maxload, minload) = (loads.max() as f64, loads.min() as f64);
+        let denom = self.epsilon + maxload - minload;
+
+        let mut best_p = 0u32;
+        let mut best_score = f64::NEG_INFINITY;
+        for p in 0..self.k {
+            let mut score = 0.0;
+            if replicas.contains(e.src, p) {
+                score += 1.0 + (1.0 - theta_u);
+            }
+            if replicas.contains(e.dst, p) {
+                score += 1.0 + (1.0 - theta_v);
+            }
+            score += self.lambda * (maxload - loads.get(p) as f64) / denom;
+            if score > best_score {
+                best_score = score;
+                best_p = p;
+            }
+        }
+        replicas.insert(e.src, best_p);
+        replicas.insert(e.dst, best_p);
+        loads.add(best_p);
+        Ok(best_p)
+    }
+
+    fn num_vertices(&self) -> u64 {
+        self.replicas.num_vertices()
+    }
+
+    fn memory(&self, loads: &PartitionLoads) -> MemoryReport {
+        MemoryReport::of(&[
+            ("replica-table", self.replicas.memory_bytes()),
+            ("degrees", self.degree.memory_bytes()),
+            ("loads", loads.memory_bytes()),
+        ])
+    }
 }
 
 /// Tunables of HDRF.
@@ -109,47 +165,7 @@ impl Partitioner for Hdrf {
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let cap = self.config.max_vertices;
-        let mut degree: VertexTable<u32> = VertexTable::with_limit(n, 0, cap)?;
-        let mut replicas = ReplicaTable::with_limit(n, k, cap)?;
-        let mut loads = PartitionLoads::new(k);
-        let mut assignments = Vec::with_capacity(m as usize);
-
-        try_for_each_chunk(stream, chunk_edges(), |chunk| -> Result<()> {
-            for &e in chunk {
-                let p = hdrf_edge(
-                    e,
-                    self.config.lambda,
-                    self.config.epsilon,
-                    k,
-                    &mut degree,
-                    &mut replicas,
-                    &mut loads,
-                )?;
-                assignments.push(p);
-            }
-            Ok(())
-        })?;
-
-        let mut memory = MemoryReport::new();
-        memory.add("replica-table", replicas.memory_bytes());
-        memory.add("degrees", degree.memory_bytes());
-        memory.add("loads", loads.memory_bytes());
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n.max(replicas.num_vertices()),
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory,
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        partition_with(stream, k, |n| HdrfKernel::new(n, k, &self.config))
     }
 }
 
@@ -168,6 +184,17 @@ mod tests {
         let mut s = InMemoryStream::from_edges(edges);
         let run = Hdrf::default().partition(&mut s, 4).unwrap();
         run.partitioning.validate().unwrap();
+    }
+
+    #[test]
+    fn memory_reports_replicas_degrees_and_loads() {
+        let edges: Vec<Edge> = (0..30).map(|i| Edge::new(i % 7, (i * 3) % 7)).collect();
+        let mut s = InMemoryStream::from_edges(edges);
+        let run = Hdrf::default().partition(&mut s, 4).unwrap();
+        let names: Vec<&str> = run.memory.items().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["replica-table", "degrees", "loads"]);
+        assert_eq!(run.memory.get("degrees"), Some(7 * 4));
+        assert_eq!(run.memory.get("loads"), Some(4 * 8));
     }
 
     #[test]

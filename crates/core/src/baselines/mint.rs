@@ -20,6 +20,7 @@ use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
 use crate::partitioner::{mix64, start_run, Partitioner};
 use crate::state::PartitionLoads;
+use clugp_graph::order::StreamOrder;
 use clugp_graph::stream::{EdgeStream, RestreamableStream};
 use clugp_graph::types::Edge;
 use rustc_hash::FxHashMap;
@@ -78,6 +79,10 @@ impl Mint {
 impl Partitioner for Mint {
     fn name(&self) -> &'static str {
         "Mint"
+    }
+
+    fn stream_order(&self) -> StreamOrder {
+        StreamOrder::Bfs
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {

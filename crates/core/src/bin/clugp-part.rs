@@ -9,7 +9,9 @@
 //!                   bytes, never by extension
 //! --k <K>           number of partitions (required)
 //! --algo <name>     clugp (default) | hdrf | greedy | hashing | dbh | mint | grid
-//! --order <name>    bfs (default) | dfs | random | asis
+//! --order <name>    bfs | dfs | random | asis (default: the order the paper
+//!                   runs the algorithm under — bfs for clugp and mint,
+//!                   random for the others)
 //! --tau <float>     CLUGP imbalance factor (default 1.0)
 //! --threads <N>     CLUGP/Mint worker threads (default: all cores)
 //! --chunk-size <N>  edges per stream chunk pull (default 4096); a tuning
@@ -93,7 +95,7 @@ use clugp::error::{FaultKind, PartitionError};
 use clugp::metrics::PartitionQuality;
 use clugp::obs;
 use clugp::partition::Partitioning;
-use clugp::partitioner::Partitioner;
+use clugp::partitioner::{Partitioner, SHUFFLE_SEED};
 use clugp::state::ReplicaTable;
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::io::binary::read_binary_graph;
@@ -113,7 +115,7 @@ struct Options {
     input: String,
     k: u32,
     algo: String,
-    order: String,
+    order: Option<String>,
     tau: f64,
     threads: usize,
     chunk_size: Option<usize>,
@@ -144,7 +146,7 @@ impl Default for Options {
             input: String::new(),
             k: 0,
             algo: "clugp".into(),
-            order: "bfs".into(),
+            order: None,
             tau: 1.0,
             threads: 0,
             chunk_size: None,
@@ -175,7 +177,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter().peekable();
     let mut positional = Vec::new();
-    let mut order_set = false;
     while let Some(a) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
             it.next()
@@ -185,10 +186,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--k" => opts.k = value("--k")?.parse().map_err(|e| format!("--k: {e}"))?,
             "--algo" => opts.algo = value("--algo")?.to_lowercase(),
-            "--order" => {
-                opts.order = value("--order")?.to_lowercase();
-                order_set = true;
-            }
+            "--order" => opts.order = Some(value("--order")?.to_lowercase()),
             "--tau" => opts.tau = value("--tau")?.parse().map_err(|e| format!("--tau: {e}"))?,
             "--threads" => {
                 opts.threads = value("--threads")?
@@ -306,7 +304,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.k == 0 {
         return Err("--k is required and must be >= 1".into());
     }
-    if opts.sparse && order_set {
+    if opts.sparse && opts.order.is_some() {
         return Err(
             "--sparse streams in file order (ids are remapped on the fly); \
              --order is not supported with it"
@@ -432,7 +430,7 @@ fn parse_order(name: &str) -> Result<StreamOrder, String> {
     Ok(match name {
         "bfs" => StreamOrder::Bfs,
         "dfs" => StreamOrder::Dfs,
-        "random" => StreamOrder::Random(0x5EED),
+        "random" => StreamOrder::Random(SHUFFLE_SEED),
         "asis" => StreamOrder::AsIs,
         other => return Err(format!("unknown order {other:?}")),
     })
@@ -528,13 +526,15 @@ fn run(opts: &Options) -> Result<(), String> {
         }
     };
     let graph = CsrGraph::from_edges(n, &raw_edges).map_err(|e| e.to_string())?;
-    let order = parse_order(&opts.order)?;
+    let order = match &opts.order {
+        Some(name) => parse_order(name)?,
+        None => build_partitioner(opts)?.stream_order(),
+    };
     let edges = ordered_edges(&graph, order);
     eprintln!(
-        "loaded {}: |V|={n} |E|={} (order: {})",
+        "loaded {}: |V|={n} |E|={} (order: {order:?})",
         opts.input,
         edges.len(),
-        opts.order
     );
 
     let partitioning = if distributed(opts) {
@@ -1122,7 +1122,7 @@ mod tests {
         assert_eq!(o.input, "graph.txt");
         assert_eq!(o.k, 8);
         assert_eq!(o.algo, "clugp");
-        assert_eq!(o.order, "bfs");
+        assert_eq!(o.order, None);
     }
 
     #[test]
@@ -1144,7 +1144,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(o.algo, "hdrf");
-        assert_eq!(o.order, "random");
+        assert_eq!(o.order.as_deref(), Some("random"));
         assert_eq!(o.tau, 1.05);
         assert_eq!(o.threads, 4);
         assert_eq!(o.output.as_deref(), Some("out.tsv"));
@@ -1198,7 +1198,7 @@ mod tests {
         let opts = Options {
             input: input.to_string_lossy().into_owned(),
             k: 2,
-            order: "asis".into(),
+            order: Some("asis".into()),
             tau: 1.5,
             threads: 1,
             output: Some(output.to_string_lossy().into_owned()),
@@ -1325,7 +1325,7 @@ mod tests {
             input: input.to_string_lossy().into_owned(),
             k: 2,
             algo: "hdrf".into(),
-            order: "asis".into(),
+            order: Some("asis".into()),
             threads: 1,
             chunk_size: Some(2), // exercise the override end to end
             decode_threads: 2,   // and the staged decode pipeline
@@ -1507,7 +1507,7 @@ mod tests {
             input: input.to_string_lossy().into_owned(),
             k: 2,
             algo: "hdrf".into(),
-            order: "asis".into(),
+            order: Some("asis".into()),
             threads: 1,
             workers: 3,
             output: Some(plain_tsv.to_string_lossy().into_owned()),
@@ -1574,7 +1574,7 @@ mod tests {
             input: input.to_string_lossy().into_owned(),
             k: 2,
             algo: "hdrf".into(),
-            order: "asis".into(),
+            order: Some("asis".into()),
             threads: 1,
             output: Some(mono_out.to_string_lossy().into_owned()),
             ..Options::default()

@@ -18,6 +18,7 @@ use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
 use crate::partitioner::{start_run, Partitioner};
+use clugp_graph::order::StreamOrder;
 use clugp_graph::stream::{collect_stream, InMemoryStream, RestreamableStream};
 
 /// CLUGP across several independent nodes, each partitioning a contiguous
@@ -48,6 +49,10 @@ impl ShardedClugp {
 impl Partitioner for ShardedClugp {
     fn name(&self) -> &'static str {
         "CLUGP-dist"
+    }
+
+    fn stream_order(&self) -> StreamOrder {
+        StreamOrder::Bfs
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {

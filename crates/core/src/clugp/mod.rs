@@ -32,6 +32,7 @@ use crate::error::Result;
 use crate::memory::MemoryReport;
 use crate::partition::{PartitionRun, Partitioning, Timings};
 use crate::partitioner::{start_run, Partitioner};
+use clugp_graph::order::StreamOrder;
 use clugp_graph::stream::RestreamableStream;
 use std::time::Instant;
 
@@ -169,6 +170,10 @@ impl Partitioner for Clugp {
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
         Ok(self.partition_detailed(stream, k)?.run)
+    }
+
+    fn stream_order(&self) -> StreamOrder {
+        StreamOrder::Bfs
     }
 }
 

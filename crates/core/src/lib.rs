@@ -50,6 +50,7 @@ pub mod baselines;
 pub mod clugp;
 pub mod edgecut;
 pub mod error;
+pub(crate) mod kernel;
 pub mod memory;
 pub mod metrics;
 pub mod partition;

@@ -21,6 +21,15 @@ impl MemoryReport {
         Self::default()
     }
 
+    /// A report of the given `(name, bytes)` items, in order.
+    pub(crate) fn of(items: &[(&str, usize)]) -> Self {
+        let mut report = Self::new();
+        for &(name, bytes) in items {
+            report.add(name, bytes);
+        }
+        report
+    }
+
     /// Records `bytes` for a named structure.
     pub fn add(&mut self, name: &str, bytes: usize) {
         self.items.push((name.to_string(), bytes));

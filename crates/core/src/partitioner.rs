@@ -2,7 +2,11 @@
 
 use crate::error::{PartitionError, Result};
 use crate::partition::PartitionRun;
+use clugp_graph::order::StreamOrder;
 use clugp_graph::stream::RestreamableStream;
+
+/// Seed of the shuffled stream order (`clugp-part --order random`).
+pub const SHUFFLE_SEED: u64 = 0x5EED;
 
 /// A vertex-cut streaming partitioner.
 ///
@@ -20,6 +24,16 @@ pub trait Partitioner {
     /// Fails if `k == 0`, on stream errors, or on invalid algorithm
     /// parameters.
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun>;
+
+    /// The stream order the paper evaluates this algorithm under (§V-A),
+    /// which `clugp-part` uses when `--order` is not given. The default is
+    /// a seeded shuffle: one-pass heuristics weigh balance only against
+    /// what they have placed so far, so on a BFS crawl HDRF and Greedy keep
+    /// growing one partition. CLUGP and Mint, which exploit crawl
+    /// locality, override it with BFS.
+    fn stream_order(&self) -> StreamOrder {
+        StreamOrder::Random(SHUFFLE_SEED)
+    }
 }
 
 /// Validates `k` and resets the stream; returns `(num_vertices_hint,

@@ -156,6 +156,11 @@ impl ReplicaTable {
         self.k
     }
 
+    /// The configured growth limit.
+    pub(crate) fn limit(&self) -> u64 {
+        self.limit
+    }
+
     /// Number of vertices this table was sized for.
     pub fn num_vertices(&self) -> u64 {
         self.counts.len() as u64
