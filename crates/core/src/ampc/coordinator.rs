@@ -407,7 +407,10 @@ impl Coord {
                         assignments: part,
                         pairs,
                     } => {
-                        absorb_stage_done(assignments, pairs_out.as_deref_mut(), part, pairs);
+                        assignments.extend(part);
+                        if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
+                            out.push(p);
+                        }
                         break token;
                     }
                     other => return Err(unexpected(&other)),
@@ -449,7 +452,10 @@ impl Coord {
                     assignments: part,
                     pairs,
                 } => {
-                    absorb_stage_done(assignments, pairs_out.as_deref_mut(), part, pairs);
+                    assignments.extend(part);
+                    if let (Some(out), Some(p)) = (pairs_out.as_deref_mut(), pairs) {
+                        out.push(p);
+                    }
                     tokens.push(token);
                 }
                 other => return Err(unexpected(&other)),
@@ -568,19 +574,6 @@ impl Coord {
             }
         }
         Ok(parts)
-    }
-}
-
-/// Appends one worker's [`Msg::StageDone`] outputs to the stage's.
-fn absorb_stage_done(
-    assignments: &mut Vec<u32>,
-    pairs_out: Option<&mut Vec<PairsPayload>>,
-    part: Vec<u32>,
-    pairs: Option<PairsPayload>,
-) {
-    assignments.extend(part);
-    if let (Some(out), Some(p)) = (pairs_out, pairs) {
-        out.push(p);
     }
 }
 
@@ -864,6 +857,11 @@ impl<'a> Supervisor<'a> {
                     defs.len()
                 )));
             };
+            if dump.rows.len() != dump.keys.len() * def.width as usize {
+                return Err(PartitionError::InvalidParam(format!(
+                    "checkpoint table {t} rows do not match its key count"
+                )));
+            }
             let rows = dump.keys.iter().copied();
             let rows = rows.zip(dump.rows.chunks_exact(def.width as usize));
             self.coord.put_rows(t as u8, def.layout, rows)?;
@@ -1324,6 +1322,11 @@ fn clugp_flow(
             let token = sup.coord.run_stage(stage, token0, &mut no_assign, None)?;
             for w in 0..workers as usize {
                 let (keys, rows) = sup.coord.scan(w, T_MAIN)?;
+                if rows.len() != keys.len() * VERTEX_ROW {
+                    return Err(PartitionError::InvalidParam(
+                        "pass-1 scan payload does not match key count".into(),
+                    ));
+                }
                 for (&key, row) in keys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
                     vs.import(key as u32, row)?;
                 }

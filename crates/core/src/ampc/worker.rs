@@ -262,6 +262,10 @@ fn build_shards(setup: &WorkerSetup) -> Vec<StateShard> {
         .collect()
 }
 
+/// Keys split by owning worker: per owner, its keys and their positions
+/// in the split key list.
+type ByOwner = Vec<(Vec<u64>, Vec<usize>)>;
+
 /// Output of one stage run: updated token, assignments in stream order,
 /// and the CLUGP pairs partial (pairs stage only).
 type StageOut = (Token, Vec<u32>, Option<PairsPayload>);
@@ -444,12 +448,11 @@ impl Wk {
     /// Looks up the defs of `tables` (which must share one layout) and
     /// splits `keys` by owning worker: per owner, its keys and their
     /// positions in `keys`.
-    #[allow(clippy::type_complexity)]
     fn split_by_owner(
         &self,
         tables: impl Iterator<Item = u8>,
         keys: &[u64],
-    ) -> Result<(Vec<TableDef>, Vec<(Vec<u64>, Vec<usize>)>)> {
+    ) -> Result<(Vec<TableDef>, ByOwner)> {
         let defs: Vec<TableDef> = tables
             .map(|t| self.slot(t).map(|i| self.setup.tables[i]))
             .collect::<Result<_>>()?;
@@ -478,6 +481,7 @@ impl Wk {
             .map(|d| vec![0u64; keys.len() * d.width as usize])
             .collect();
         let me = self.setup.worker as usize;
+        let ops: Vec<BatchOp> = tables.iter().map(|&t| BatchOp::Get { table: t }).collect();
         // Fire every remote request first, then collect replies in the
         // same order — the coordinator answers per-owner in send order.
         let mut pending: Vec<usize> = Vec::new();
@@ -485,11 +489,10 @@ impl Wk {
             if owner == me || okeys.is_empty() {
                 continue;
             }
-            let ops: Vec<BatchOp> = tables.iter().map(|&t| BatchOp::Get { table: t }).collect();
             self.send_msg(&Msg::RouteBatch {
                 to: owner as u32,
                 keys: okeys.clone(),
-                ops,
+                ops: ops.clone(),
             })?;
             pending.push(owner);
         }
@@ -514,7 +517,6 @@ impl Wk {
         };
         if !by_owner[me].0.is_empty() {
             let okeys = by_owner[me].0.clone();
-            let ops: Vec<BatchOp> = tables.iter().map(|&t| BatchOp::Get { table: t }).collect();
             let rows = self
                 .serve_batch(&okeys, &ops)?
                 .expect("get batch always yields rows");
