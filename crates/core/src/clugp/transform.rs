@@ -327,6 +327,36 @@ mod tests {
         assert_eq!(t.loads, vec![0, 0, 0]);
     }
 
+    /// `k · Lmax ≥ |E|` for every τ ≥ 1: the AMPC transform stage's
+    /// cap-growth rule (grow when every partition is full) can then never
+    /// fire while a run starts at the full `Lmax`.
+    #[test]
+    fn load_cap_always_fits_every_edge() {
+        let mut ks: Vec<u32> = (1..=64).collect();
+        ks.extend((65..=4096).step_by(61));
+        ks.extend([1000, 1024, 4095, 4096]);
+        let mut ms: Vec<u64> = vec![0, 1, 2, 3, 7, 1 << 20, (1 << 40) - 1, 1 << 40];
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..200 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ms.push((x >> 24) % ((1 << 40) + 1));
+        }
+        for tau in [1.0f64, 1.03, 1.1, 2.0] {
+            for &k in &ks {
+                // Exact multiples of k and their neighbours, up to 2^40.
+                let top = (1u64 << 40) / u64::from(k) * u64::from(k);
+                for &m in ms.iter().chain(&[top - 1, top, top + 1]) {
+                    assert!(
+                        u64::from(k) * load_cap(tau, m, k) >= m,
+                        "tau={tau} k={k} m={m}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn reroute_counter_counts_cap_hits() {
         // Map everything to partition 0 with tau=1: all but Lmax edges must
