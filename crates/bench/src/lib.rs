@@ -14,13 +14,12 @@
 //! * [`experiments`] — one entry point per paper table/figure
 //!   (`table1`, `table3`, `fig3` … `fig11`).
 //!
-//! The `experiments` binary dispatches to these; the Criterion benches
-//! reuse the same modules at reduced scale.
+//! The `experiments` binary dispatches to these (`--quick` or
+//! `CLUGP_SCALE` for reduced scale).
 
 #![warn(missing_docs)]
 
 pub mod algorithms;
-pub mod benchkit;
 pub mod datasets;
 pub mod experiments;
 pub mod report;

@@ -1056,9 +1056,10 @@ fn drive(
         ],
         (None, _) => Vec::new(),
     };
-    // Kernel baselines reconcile their tables and loads at relaxed epoch
-    // barriers; Hashing and Mint stream straight to StageDone.
-    let epoch_synced = kernel.is_some();
+    // Kernels reconcile their tables and loads at relaxed epoch barriers
+    // unless they declare otherwise (Hashing); Mint streams straight to
+    // StageDone.
+    let epoch_synced = kernel.as_ref().is_some_and(|kn| kn.epoch_synced());
 
     let heartbeat_ms = cfg.supervise.heartbeat_ms();
     let mut setups = Vec::with_capacity(workers as usize);

@@ -7,7 +7,7 @@
 //! the monolithic partitioners use*, which is what keeps every sequenced
 //! configuration bit-identical to the monolith.
 //!
-//! The one-pass baselines with state (Grid, DBH, Greedy, HDRF) run as a
+//! The one-pass baselines (Hashing, Grid, DBH, Greedy, HDRF) run as a
 //! `StreamKernel` (`crate::kernel`) under one of two generic drivers:
 //!
 //! * `Wk::drive_sequenced` — per chunk, fetch the rows of every table
@@ -19,17 +19,21 @@
 //!   coordinator's star links guarantees they land before any later
 //!   dependent read). Entries outside the fetched set are never read, so
 //!   the tables can stay dense — same types, same indexing as the
-//!   monolith.
+//!   monolith. A kernel without tables streams with no routing at all.
 //! * `Wk::drive_relaxed` ([`AmpcMode::Relaxed`]) — no per-chunk routing
 //!   at all: the kernel streams the whole range against worker-local
 //!   tables and reconciles with the fleet at epoch barriers
 //!   ([`Msg::EpochDone`] / [`Msg::EpochSync`]) under each table's
-//!   declared [`MergeOp`].
+//!   declared [`MergeOp`]. A kernel that does not epoch-sync (Hashing)
+//!   runs `drive_sequenced` in relaxed mode too.
 //!
-//! Hashing and Mint keep their own loops, and the CLUGP stages route the
-//! same way by hand; in relaxed mode they read [`Msg::TableCast`] mirrors
-//! and pass 1 ships a locally-clustered [`Msg::Pass1Frontier`] for the
-//! coordinator to merge.
+//! The CLUGP pairs and transform stages are one body each. The mode only
+//! picks where the vertex rows and the cluster → partition map come from
+//! (a per-chunk fetch when sequenced, the stage-start [`Msg::TableCast`]
+//! mirrors when relaxed) and where the transform's load cap starts.
+//! Pass 1 keeps a body per mode, since the outputs differ: per-chunk
+//! `Put` publishes when sequenced, one [`Msg::Pass1Frontier`] for the
+//! coordinator to merge when relaxed. Mint keeps its own wave loop.
 
 use super::proto::{
     AlgoSpec, BatchOp, EpochTable, InputSpec, Msg, PairsPayload, Stage, StateOp, TableDef, Token,
@@ -41,7 +45,7 @@ use super::{AmpcMode, DEFAULT_EPOCH_CHUNKS};
 use crate::baselines::dbh::DbhKernel;
 use crate::baselines::greedy::GreedyKernel;
 use crate::baselines::grid::GridKernel;
-use crate::baselines::hashing;
+use crate::baselines::hashing::HashingKernel;
 use crate::baselines::hdrf::HdrfKernel;
 use crate::baselines::mint::{self, MintConfig, DEFAULT_WAVE_WIDTH};
 use crate::baselines::HdrfConfig;
@@ -654,13 +658,11 @@ impl Wk {
             (Stage::Baseline, _) => self.stage_baseline(token, src, relaxed, epoch),
             (Stage::ClugpPass1 { vmax }, false) => self.stage_clugp_pass1(vmax, token, src),
             (Stage::ClugpPass1 { vmax }, true) => self.stage_clugp_pass1_relaxed(vmax, token, src),
-            (Stage::ClugpPairs { num_clusters: n }, false) => self.stage_clugp_pairs(n, token, src),
-            (Stage::ClugpPairs { num_clusters: n }, true) => {
-                self.stage_clugp_pairs_relaxed(n, token, src)
+            (Stage::ClugpPairs { num_clusters: n }, _) => {
+                self.stage_clugp_pairs(n, token, src, relaxed)
             }
-            (Stage::ClugpTransform { lmax }, false) => self.stage_clugp_transform(lmax, token, src),
-            (Stage::ClugpTransform { lmax }, true) => {
-                self.stage_clugp_transform_relaxed(lmax, token, src)
+            (Stage::ClugpTransform { lmax }, _) => {
+                self.stage_clugp_transform(lmax, token, src, relaxed)
             }
         };
         if out.is_ok() {
@@ -713,8 +715,6 @@ impl Wk {
     ) -> Result<StageOut> {
         let algo = self.setup.algo.clone();
         let (token, assignments) = match algo {
-            // Hashing is stateless: the relaxed run is the sequenced run.
-            AlgoSpec::Hashing { seed } => self.run_hashing(seed, token, source)?,
             AlgoSpec::Mint {
                 batch,
                 wave,
@@ -739,7 +739,7 @@ impl Wk {
                         "CLUGP algo cannot run the baseline stage".into(),
                     ));
                 };
-                if relaxed {
+                if relaxed && kernel.epoch_synced() {
                     self.drive_relaxed(kernel.as_mut(), token, source, epoch)?
                 } else {
                     self.drive_sequenced(kernel.as_mut(), token, source)?
@@ -747,26 +747,6 @@ impl Wk {
             }
         };
         Ok((token, assignments, None))
-    }
-
-    fn run_hashing(
-        &mut self,
-        seed: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<(Token, Vec<u32>)> {
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                let p = hashing::hashing_assign(e, seed, k);
-                token.loads[p as usize] += 1;
-                assignments.push(p);
-            }
-        }
-        Ok((token, assignments))
     }
 
     /// Mint: waves are global — `wave_width × batch_size` edges each — so
@@ -889,7 +869,8 @@ impl Wk {
     /// declared table for the chunk's distinct endpoints in one
     /// [`Wk::fetch_group`], import them, step the kernel over the chunk,
     /// and write the rows back under `Put` in one [`Wk::publish`].
-    /// A kernel without tables (Grid) streams with no routing at all.
+    /// A kernel without tables (Hashing, Grid) streams with no routing at
+    /// all.
     fn drive_sequenced(
         &mut self,
         kernel: &mut dyn StreamKernel,
@@ -995,32 +976,6 @@ impl Wk {
         }
     }
 
-    /// The per-chunk prelude of the sequenced CLUGP stages: fetches the
-    /// vertex rows of the chunk's endpoints into `vs` and returns the
-    /// clusters they reference, sorted and distinct.
-    fn fetch_chunk_vertices(
-        &mut self,
-        buf: &[Edge],
-        vs: &mut ClugpVertices,
-        vkeys: &mut Vec<u64>,
-    ) -> Result<Vec<u64>> {
-        distinct_endpoints(buf, vkeys);
-        let rows = self.fetch(T_MAIN, vkeys)?;
-        for (&key, row) in vkeys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
-            vs.import(key as u32, row)?;
-        }
-        let mut ckeys: Vec<u64> = vkeys
-            .iter()
-            .filter_map(|&key| {
-                let c = vs.cluster_of[key as u32];
-                (c != NO_CLUSTER).then_some(u64::from(c))
-            })
-            .collect();
-        ckeys.sort_unstable();
-        ckeys.dedup();
-        Ok(ckeys)
-    }
-
     /// CLUGP pass 1. The raw-volume scratch is kept at the full global
     /// length (the token's raw-id watermark) so `vol.push` allocates the
     /// same raw ids as the monolith. Per chunk, the touched-cluster set is
@@ -1039,11 +994,10 @@ impl Wk {
         let mut buf = Vec::with_capacity(cap);
         let mut vs = ClugpVertices::new(0, max_vertices)?;
         let mut vol: Vec<u64> = vec![0; token.next_raw as usize];
-        let mut splits = token.splits;
-        let mut migrations = token.migrations;
         let mut vkeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            let ckeys = self.fetch_chunk_vertices(&buf, &mut vs, &mut vkeys)?;
+            self.chunk_vertices(false, &buf, &mut vs, &mut vkeys)?;
+            let ckeys = chunk_clusters(&vs, &vkeys);
             let crows = self.fetch(T_VOL, &ckeys)?;
             for (i, &ck) in ckeys.iter().enumerate() {
                 vol[ck as usize] = crows[i];
@@ -1059,8 +1013,8 @@ impl Wk {
                     &mut vs.degree,
                     &mut vs.divided,
                     &mut vol,
-                    &mut splits,
-                    &mut migrations,
+                    &mut token.splits,
+                    &mut token.migrations,
                 )?;
             }
             let mut vrows = Vec::with_capacity(vkeys.len() * VERTEX_ROW);
@@ -1074,87 +1028,8 @@ impl Wk {
             self.publish(&wkeys, vec![(T_VOL, MergeOp::Put, wrows)])?;
         }
         token.next_raw = vol.len() as u64;
-        token.splits = splits;
-        token.migrations = migrations;
         token.table_len = token.table_len.max(vs.cluster_of.len());
         Ok((token, Vec::new(), None))
-    }
-
-    /// CLUGP pairs: stream the range once against the (now dense) cluster
-    /// ids and aggregate the worker's partial cluster graph.
-    fn stage_clugp_pairs(
-        &mut self,
-        num_clusters: u64,
-        token: Token,
-        source: &mut Source,
-    ) -> Result<StageOut> {
-        let (_, _, max_vertices) = self.clugp_params("pairs")?;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut cluster_of: VertexTable<u32> =
-            VertexTable::with_limit(0, NO_CLUSTER, max_vertices)?;
-        let mut sink = PairSink::new(num_clusters as usize);
-        let mut vkeys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            distinct_endpoints(&buf, &mut vkeys);
-            let rows = self.fetch(T_MAIN, &vkeys)?;
-            for (&key, row) in vkeys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
-                let v = key as u32;
-                cluster_of.ensure(v)?;
-                cluster_of[v] = decode_vertex_row(row).0;
-            }
-            for &e in &buf {
-                sink.push(cluster_of[e.src], cluster_of[e.dst]);
-            }
-        }
-        Ok((token, Vec::new(), Some(pairs_payload(sink))))
-    }
-
-    /// CLUGP pass 3: per chunk, fetch the dense vertex rows plus the
-    /// cluster→partition entries those vertices reference, then run the
-    /// transformation kernel. No writebacks — the pass only consumes state.
-    fn stage_clugp_transform(
-        &mut self,
-        lmax: u64,
-        mut token: Token,
-        source: &mut Source,
-    ) -> Result<StageOut> {
-        let (_, _, max_vertices) = self.clugp_params("transform")?;
-        let k = self.setup.k;
-        let cap = self.chunk_cap();
-        let mut buf = Vec::with_capacity(cap);
-        let mut assignments = Vec::new();
-        let mut vs = ClugpVertices::new(0, max_vertices)?;
-        let mut cpart: Vec<u32> = Vec::new();
-        let mut loads = std::mem::take(&mut token.loads);
-        let mut cursor = token.cursor;
-        let mut reroutes = token.reroutes;
-        let mut vkeys: Vec<u64> = Vec::new();
-        while self.next_chunk(source, &mut buf, cap)? != 0 {
-            let ckeys = self.fetch_chunk_vertices(&buf, &mut vs, &mut vkeys)?;
-            let crows = self.fetch(T_CPART, &ckeys)?;
-            fill_cpart(&mut cpart, &ckeys, &crows);
-            for &e in &buf {
-                let p = transform_edge(
-                    e,
-                    &vs.cluster_of,
-                    &vs.degree,
-                    &vs.divided,
-                    &cpart,
-                    lmax,
-                    k,
-                    &mut loads,
-                    &mut cursor,
-                    &mut reroutes,
-                );
-                assignments.push(p);
-            }
-        }
-        token.loads = loads;
-        token.cursor = cursor;
-        token.reroutes = reroutes;
-        token.table_len = token.table_len.max(vs.cluster_of.len());
-        Ok((token, assignments, None))
     }
 
     /// Relaxed CLUGP pass 1: cluster the worker's range entirely locally
@@ -1174,12 +1049,9 @@ impl Wk {
         let mut buf = Vec::with_capacity(cap);
         let mut vs = ClugpVertices::new(0, max_vertices)?;
         let mut vol: Vec<u64> = Vec::new();
-        let mut splits = token.splits;
-        let mut migrations = token.migrations;
+        let mut vkeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                vs.ensure(e.src.max(e.dst))?;
-            }
+            self.chunk_vertices(true, &buf, &mut vs, &mut vkeys)?;
             for &e in &buf {
                 pass1_edge(
                     e,
@@ -1190,8 +1062,8 @@ impl Wk {
                     &mut vs.degree,
                     &mut vs.divided,
                     &mut vol,
-                    &mut splits,
-                    &mut migrations,
+                    &mut token.splits,
+                    &mut token.migrations,
                 )?;
             }
         }
@@ -1206,99 +1078,132 @@ impl Wk {
             }
         }
         token.next_raw = vol.len() as u64;
-        token.splits = splits;
-        token.migrations = migrations;
         token.table_len = token.table_len.max(vs.cluster_of.len());
         self.send_msg(&Msg::Pass1Frontier { keys, rows, vol })?;
         Ok((token, Vec::new(), None))
     }
 
-    /// Decodes the [`T_MAIN`] cast the coordinator broadcast ahead of a
-    /// relaxed CLUGP stage.
-    fn cast_vertices(&mut self, max_vertices: u64) -> Result<ClugpVertices> {
-        let Some((keys, rows)) = self.casts.remove(&T_MAIN) else {
-            return Err(PartitionError::InvalidParam(
-                "relaxed CLUGP stage started without a table cast".into(),
-            ));
+    /// Takes the mirror of `table` the coordinator broadcast ahead of a
+    /// relaxed CLUGP stage, checked against the table's row `width`.
+    fn take_cast(&mut self, table: u8, width: usize) -> Result<(Vec<u64>, Vec<u64>)> {
+        let Some((keys, rows)) = self.casts.remove(&table) else {
+            return Err(PartitionError::InvalidParam(format!(
+                "relaxed CLUGP stage started without a cast of table {table}"
+            )));
         };
-        if rows.len() != keys.len() * VERTEX_ROW {
-            return Err(PartitionError::InvalidParam(
-                "table cast payload does not match key count".into(),
-            ));
+        if rows.len() != keys.len() * width {
+            return Err(PartitionError::InvalidParam(format!(
+                "cast of table {table} does not match its key count"
+            )));
         }
+        Ok((keys, rows))
+    }
+
+    /// The vertex rows a pairs or transform stage starts from: the
+    /// [`T_MAIN`] cast when relaxed, none when sequenced (each chunk
+    /// fetches its own).
+    fn stage_vertices(&mut self, relaxed: bool, max_vertices: u64) -> Result<ClugpVertices> {
         let mut vs = ClugpVertices::new(0, max_vertices)?;
-        for (&key, row) in keys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
-            vs.import(key as u32, row)?;
+        if relaxed {
+            let (keys, rows) = self.take_cast(T_MAIN, VERTEX_ROW)?;
+            for (&key, row) in keys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
+                vs.import(key as u32, row)?;
+            }
         }
         Ok(vs)
     }
 
-    /// Relaxed CLUGP pairs: the dense cluster ids arrive as a read-only
-    /// cast before the stage, so the stream never routes at all.
-    fn stage_clugp_pairs_relaxed(
+    /// Makes every endpoint of the chunk readable in `vs`. Relaxed mode
+    /// only ensures the largest one (the rows are worker-local or cast);
+    /// sequenced mode imports the rows of the distinct endpoints, left in
+    /// `vkeys`, from their owning shards.
+    fn chunk_vertices(
+        &mut self,
+        relaxed: bool,
+        buf: &[Edge],
+        vs: &mut ClugpVertices,
+        vkeys: &mut Vec<u64>,
+    ) -> Result<()> {
+        if relaxed {
+            let top = buf.iter().map(|e| e.src.max(e.dst)).max();
+            return top.map_or(Ok(()), |v| vs.ensure(v));
+        }
+        distinct_endpoints(buf, vkeys);
+        let rows = self.fetch(T_MAIN, vkeys)?;
+        for (&key, row) in vkeys.iter().zip(rows.chunks_exact(VERTEX_ROW)) {
+            vs.import(key as u32, row)?;
+        }
+        Ok(())
+    }
+
+    /// CLUGP pairs: stream the range once against the (now dense) cluster
+    /// ids and aggregate the worker's partial cluster graph. No
+    /// writebacks, and in relaxed mode no routing at all.
+    fn stage_clugp_pairs(
         &mut self,
         num_clusters: u64,
         token: Token,
         source: &mut Source,
+        relaxed: bool,
     ) -> Result<StageOut> {
         let (_, _, max_vertices) = self.clugp_params("pairs")?;
-        let mut cluster_of = self.cast_vertices(max_vertices)?.cluster_of;
+        let mut vs = self.stage_vertices(relaxed, max_vertices)?;
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut sink = PairSink::new(num_clusters as usize);
+        let mut vkeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
+            self.chunk_vertices(relaxed, &buf, &mut vs, &mut vkeys)?;
             for &e in &buf {
-                cluster_of.ensure(e.src.max(e.dst))?;
-                sink.push(cluster_of[e.src], cluster_of[e.dst]);
+                sink.push(vs.cluster_of[e.src], vs.cluster_of[e.dst]);
             }
         }
         Ok((token, Vec::new(), Some(pairs_payload(sink))))
     }
 
-    /// Relaxed CLUGP pass 3: vertex rows and the cluster→partition map
-    /// both arrive as casts; each worker enforces a proportional share of
-    /// the global load cap so the summed loads respect it.
-    fn stage_clugp_transform_relaxed(
+    /// CLUGP pass 3: run the transformation kernel over the vertex rows
+    /// and the cluster → partition map (fetched per chunk when sequenced,
+    /// cast when relaxed). No writebacks — the pass only consumes state.
+    ///
+    /// A relaxed worker enforces an even slice of the global cap. The
+    /// slice can be infeasible for this worker's share of the stream
+    /// (contiguous edge ranges are not perfectly even), so the cap grows
+    /// one slot per partition whenever every partition is full: the edge
+    /// always has somewhere to go, and the global cap drifts by at most
+    /// one slot per overflow. A sequenced run starts at the full cap, and
+    /// `k · lmax ≥ |E|` (τ ≥ 1), so the rule never fires there.
+    fn stage_clugp_transform(
         &mut self,
         lmax: u64,
         mut token: Token,
         source: &mut Source,
+        relaxed: bool,
     ) -> Result<StageOut> {
         let (_, _, max_vertices) = self.clugp_params("transform")?;
         let k = self.setup.k;
-        let mut vs = self.cast_vertices(max_vertices)?;
-        let Some((ckeys, crows)) = self.casts.remove(&T_CPART) else {
-            return Err(PartitionError::InvalidParam(
-                "relaxed transform stage started without a cluster-partition cast".into(),
-            ));
-        };
-        if crows.len() != ckeys.len() {
-            return Err(PartitionError::InvalidParam(
-                "cluster-partition cast payload does not match key count".into(),
-            ));
-        }
+        let mut vs = self.stage_vertices(relaxed, max_vertices)?;
         let mut cpart: Vec<u32> = Vec::new();
-        fill_cpart(&mut cpart, &ckeys, &crows);
-        // Each worker gets an even slice of the global cap. The slice can be
-        // infeasible for this worker's share of the stream (contiguous edge
-        // ranges are not perfectly even), so the cap grows one slot per
-        // partition whenever every local partition is saturated — the edge
-        // always has somewhere to go, and the global cap drifts by at most
-        // one slot per overflow. Sequenced mode keeps the hard cap.
-        let mut lmax = lmax.div_ceil(u64::from(self.setup.workers)).max(1);
+        let mut lmax = if relaxed {
+            let (ckeys, crows) = self.take_cast(T_CPART, 1)?;
+            fill_cpart(&mut cpart, &ckeys, &crows);
+            lmax.div_ceil(u64::from(self.setup.workers)).max(1)
+        } else {
+            lmax
+        };
         let cap = self.chunk_cap();
         let mut buf = Vec::with_capacity(cap);
         let mut assignments = Vec::new();
-        let mut loads = std::mem::take(&mut token.loads);
-        let mut cursor = token.cursor;
-        let mut reroutes = token.reroutes;
-        let mut placed: u64 = loads.as_slice().iter().sum();
+        let mut placed: u64 = token.loads.iter().sum();
+        let mut vkeys: Vec<u64> = Vec::new();
         while self.next_chunk(source, &mut buf, cap)? != 0 {
-            for &e in &buf {
-                vs.ensure(e.src.max(e.dst))?;
+            self.chunk_vertices(relaxed, &buf, &mut vs, &mut vkeys)?;
+            if !relaxed {
+                let ckeys = chunk_clusters(&vs, &vkeys);
+                let crows = self.fetch(T_CPART, &ckeys)?;
+                fill_cpart(&mut cpart, &ckeys, &crows);
             }
             for &e in &buf {
-                if placed == u64::from(k) * lmax {
+                if placed == u64::from(k).saturating_mul(lmax) {
                     lmax += 1;
                 }
                 placed += 1;
@@ -1310,19 +1215,31 @@ impl Wk {
                     &cpart,
                     lmax,
                     k,
-                    &mut loads,
-                    &mut cursor,
-                    &mut reroutes,
+                    &mut token.loads,
+                    &mut token.cursor,
+                    &mut token.reroutes,
                 );
                 assignments.push(p);
             }
         }
-        token.loads = loads;
-        token.cursor = cursor;
-        token.reroutes = reroutes;
         token.table_len = token.table_len.max(vs.cluster_of.len());
         Ok((token, assignments, None))
     }
+}
+
+/// The clusters the fetched chunk vertices `vkeys` belong to, sorted and
+/// distinct.
+fn chunk_clusters(vs: &ClugpVertices, vkeys: &[u64]) -> Vec<u64> {
+    let mut ckeys: Vec<u64> = vkeys
+        .iter()
+        .filter_map(|&key| {
+            let c = vs.cluster_of[key as u32];
+            (c != NO_CLUSTER).then_some(u64::from(c))
+        })
+        .collect();
+    ckeys.sort_unstable();
+    ckeys.dedup();
+    ckeys
 }
 
 /// Collects the distinct endpoint ids of a chunk, sorted ascending.
@@ -1480,9 +1397,10 @@ fn adopt_synced(
 
 /// The stream kernel a baseline [`AlgoSpec`] runs, built empty (workers
 /// grow their tables on demand); `None` for the algorithms driven
-/// otherwise (Hashing, Mint, CLUGP).
+/// otherwise (Mint, CLUGP).
 pub(crate) fn stream_kernel(spec: &AlgoSpec, k: u32) -> Result<Option<Box<dyn StreamKernel>>> {
     Ok(Some(match *spec {
+        AlgoSpec::Hashing { seed } => Box::new(HashingKernel::new(seed, k)),
         AlgoSpec::Grid { seed } => Box::new(GridKernel::new(seed, k)),
         AlgoSpec::Dbh { seed, max_vertices } => Box::new(DbhKernel::new(0, k, seed, max_vertices)?),
         AlgoSpec::Greedy { max_vertices } => Box::new(GreedyKernel::new(0, k, max_vertices)?),
@@ -1499,8 +1417,6 @@ pub(crate) fn stream_kernel(spec: &AlgoSpec, k: u32) -> Result<Option<Box<dyn St
                 max_vertices,
             },
         )?),
-        AlgoSpec::Hashing { .. } | AlgoSpec::Mint { .. } | AlgoSpec::Clugp { .. } => {
-            return Ok(None)
-        }
+        AlgoSpec::Mint { .. } | AlgoSpec::Clugp { .. } => return Ok(None),
     }))
 }

@@ -5,20 +5,13 @@
 //! floor every heuristic is compared against.
 
 use crate::error::Result;
+use crate::kernel::{partition_with, KernelTable, StreamKernel};
 use crate::memory::MemoryReport;
-use crate::partition::{PartitionRun, Partitioning, Timings};
-use crate::partitioner::{mix64, start_run, Partitioner};
+use crate::partition::PartitionRun;
+use crate::partitioner::{mix64, Partitioner};
 use crate::state::PartitionLoads;
-use clugp_graph::stream::{chunk_edges, for_each_chunk, RestreamableStream};
+use clugp_graph::stream::RestreamableStream;
 use clugp_graph::types::Edge;
-
-/// Per-edge hashing kernel (stateless). Shared by the monolithic loop and
-/// the distributed worker so both paths stay bit-identical.
-#[inline]
-pub(crate) fn hashing_assign(e: Edge, seed: u64, k: u32) -> u32 {
-    let key = (u64::from(e.src) << 32) | u64::from(e.dst);
-    (mix64(key ^ seed) % u64::from(k)) as u32
-}
 
 /// Default hash seed (shared with the distributed engine so
 /// `DistAlgo::hashing()` matches `Hashing::default()`).
@@ -43,36 +36,48 @@ impl Default for Hashing {
     }
 }
 
+/// The hashing kernel: no tables, and nothing to reconcile between
+/// relaxed workers, since a placement never reads the loads.
+pub(crate) struct HashingKernel {
+    seed: u64,
+    k: u32,
+}
+
+impl HashingKernel {
+    pub(crate) fn new(seed: u64, k: u32) -> Self {
+        HashingKernel { seed, k }
+    }
+}
+
+impl StreamKernel for HashingKernel {
+    fn tables(&self) -> Vec<KernelTable> {
+        Vec::new()
+    }
+
+    fn epoch_synced(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn step(&mut self, e: Edge, loads: &mut PartitionLoads) -> Result<u32> {
+        let key = (u64::from(e.src) << 32) | u64::from(e.dst);
+        let p = (mix64(key ^ self.seed) % u64::from(self.k)) as u32;
+        loads.add(p);
+        Ok(p)
+    }
+
+    fn memory(&self, _loads: &PartitionLoads) -> MemoryReport {
+        MemoryReport::new() // a hash function needs no state
+    }
+}
+
 impl Partitioner for Hashing {
     fn name(&self) -> &'static str {
         "Hashing"
     }
 
     fn partition(&mut self, stream: &mut dyn RestreamableStream, k: u32) -> Result<PartitionRun> {
-        let start = std::time::Instant::now();
-        let (n, m) = start_run(stream, k)?;
-        let mut assignments = Vec::with_capacity(m as usize);
-        let mut loads = PartitionLoads::new(k);
-        for_each_chunk(stream, chunk_edges(), |chunk| {
-            for &e in chunk {
-                let p = hashing_assign(e, self.seed, k);
-                assignments.push(p);
-                loads.add(p);
-            }
-        });
-        Ok(PartitionRun {
-            partitioning: Partitioning {
-                k,
-                num_vertices: n,
-                assignments,
-                loads: loads.into_vec(),
-            },
-            memory: MemoryReport::new(), // a hash function needs no state
-            timings: Timings {
-                total: start.elapsed(),
-                ..Default::default()
-            },
-        })
+        partition_with(stream, k, |_| Ok(HashingKernel::new(self.seed, k)))
     }
 }
 

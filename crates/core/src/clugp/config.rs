@@ -108,7 +108,7 @@ impl ClugpConfig {
 
     /// Checks parameter ranges.
     pub fn validate(&self) -> Result<()> {
-        if self.tau < 1.0 {
+        if self.tau.is_nan() || self.tau < 1.0 {
             return Err(PartitionError::InvalidParam(format!(
                 "imbalance factor tau must be >= 1.0, got {}",
                 self.tau
@@ -167,11 +167,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_tau() {
-        let c = ClugpConfig {
-            tau: 0.9,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        for tau in [0.9, f64::NAN] {
+            let c = ClugpConfig {
+                tau,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "tau {tau}");
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub fn transform(
     tau: f64,
     num_edges: u64,
 ) -> Result<TransformResult> {
-    if tau < 1.0 {
+    if tau.is_nan() || tau < 1.0 {
         return Err(PartitionError::InvalidParam(format!(
             "tau must be >= 1, got {tau}"
         )));

@@ -1,16 +1,17 @@
 //! The kernel/driver split of the one-pass streaming baselines.
 //!
-//! Grid, DBH, Greedy and HDRF each place an edge by the same local steps
-//! wherever they run (the paper's §III-C has every node perform them
-//! locally). A [`StreamKernel`] is those steps plus a declaration of the
-//! per-vertex state they read and write. The code that feeds edges to a
-//! kernel is written once per execution mode, not once per algorithm:
+//! Hashing, Grid, DBH, Greedy and HDRF each place an edge by the same
+//! local steps wherever they run (the paper's §III-C has every node
+//! perform them locally). A [`StreamKernel`] is those steps plus a
+//! declaration of the per-vertex state they read and write. The code that
+//! feeds edges to a kernel is written once per execution mode, not once
+//! per algorithm:
 //!
 //! * [`partition_with`] — the monolith behind each baseline's
 //!   `Partitioner::partition`;
 //! * the sequenced and relaxed worker drivers of the AMPC engine
 //!   (`ampc::worker`), which move the declared tables between shards or
-//!   reconcile them at epoch barriers.
+//!   reconcile them at epoch barriers ([`StreamKernel::epoch_synced`]).
 //!
 //! Adding a streaming algorithm is one kernel impl plus its `DistAlgo` /
 //! `AlgoSpec` variant (DESIGN.md §7).
@@ -59,6 +60,12 @@ pub(crate) fn mask_table(words: usize) -> KernelTable {
 pub(crate) trait StreamKernel {
     /// The per-vertex tables, in slot order.
     fn tables(&self) -> Vec<KernelTable>;
+
+    /// Whether relaxed workers reconcile tables and loads at epoch
+    /// barriers; `false` runs the sequenced driver in relaxed mode too.
+    fn epoch_synced(&self) -> bool {
+        true
+    }
 
     /// The vertex-id cap and the name under which the monolith's table
     /// constructor rejects a vertex-count hint above it (`None`: no
