@@ -29,7 +29,8 @@
 //!                   (sparse) 64-bit vertex ids — hashed URLs, crawl ids —
 //!                   remapped onto the dense internal space during the
 //!                   first pass; output is translated back to the external
-//!                   ids. Streams in file order.
+//!                   ids. Streams in file order. Not combinable with
+//!                   --order, --emit-placement or distributed runs.
 //! --output <file>   write per-edge assignment as "src dst partition" TSV
 //! --workers <N>     shard the run across N workers through the
 //!                   coordinator/worker engine (default 1; results are
@@ -80,7 +81,8 @@
 //!                   breakdown on stderr
 //! --emit-placement <dir>
 //!                   write a placement directory (assignment snapshot +
-//!                   replica table) consumable by the engine crate
+//!                   replica table) consumable by the engine crate; dense
+//!                   ids only, so not with --sparse
 //! ```
 
 use clugp::ampc::coordinator::DistAlgo;
@@ -99,13 +101,12 @@ use clugp::partitioner::{Partitioner, SHUFFLE_SEED};
 use clugp::state::ReplicaTable;
 use clugp_graph::csr::CsrGraph;
 use clugp_graph::io::binary::read_binary_graph;
-use clugp_graph::io::edge_list::read_edge_list;
+use clugp_graph::io::edge_list::{read_edge_list, TextWriter};
 use clugp_graph::io::{open_edge_stream, open_sparse_edge_stream, sniff_format, GraphFileFormat};
 use clugp_graph::order::{ordered_edges, StreamOrder};
 use clugp_graph::pack::{ChecksumPolicy, DecodeOptions, DEFAULT_PREFETCH_BLOCKS};
 use clugp_graph::stream::{collect_stream, InMemoryStream, RestreamableStream};
 use clugp_graph::types::Edge;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -314,6 +315,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.sparse && distributed(&opts) {
         return Err("--sparse is not supported with --workers/--transport".into());
     }
+    if opts.sparse && opts.emit_placement.is_some() {
+        // The placement files hold dense internal ids, which a sparse run
+        // never exposes; rejecting beats exiting 0 without writing them.
+        return Err("--emit-placement is not supported with --sparse".into());
+    }
     if opts.resume && opts.checkpoint_dir.is_none() {
         return Err("--resume needs --checkpoint-dir to load checkpoints from".into());
     }
@@ -470,23 +476,25 @@ fn run_sparse(opts: &Options) -> Result<(), String> {
 
     if let Some(out) = &opts.output {
         let map = stream.id_map();
-        let mut w =
-            std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?);
-        for (e, p) in edges.iter().zip(&run.partitioning.assignments) {
-            // Translate internal ids back to the input's external ids.
-            writeln!(
-                w,
-                "{}\t{}\t{}",
-                map.external_of(e.src),
-                map.external_of(e.dst),
-                p
-            )
-            .map_err(|e| e.to_string())?;
-        }
-        w.flush().map_err(|e| e.to_string())?;
+        // Translate internal ids back to the input's external ids.
+        let rows = edges
+            .iter()
+            .zip(&run.partitioning.assignments)
+            .map(|(e, &p)| [map.external_of(e.src), map.external_of(e.dst), u64::from(p)]);
+        write_assignment_tsv(out, rows)?;
         eprintln!("assignment written to {out} (external ids)");
     }
     Ok(())
+}
+
+/// Writes the `--output` TSV: one `src\tdst\tpartition` line per row.
+fn write_assignment_tsv(out: &str, rows: impl Iterator<Item = [u64; 3]>) -> Result<(), String> {
+    let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
+    let mut w = TextWriter::new(file);
+    for row in rows {
+        w.line(&row, b'\t').map_err(|e| e.to_string())?;
+    }
+    w.finish().map_err(|e| e.to_string())
 }
 
 fn run(opts: &Options) -> Result<(), String> {
@@ -526,18 +534,22 @@ fn run(opts: &Options) -> Result<(), String> {
         }
     };
     let graph = CsrGraph::from_edges(n, &raw_edges).map_err(|e| e.to_string())?;
+    drop(raw_edges);
     let order = match &opts.order {
         Some(name) => parse_order(name)?,
         None => build_partitioner(opts)?.stream_order(),
     };
+    // From here on the ordered list is the only copy of the edges: the
+    // monolith hands it to its stream by value and takes it back after.
     let edges = ordered_edges(&graph, order);
+    drop(graph);
     eprintln!(
         "loaded {}: |V|={n} |E|={} (order: {order:?})",
         opts.input,
         edges.len(),
     );
 
-    let partitioning = if distributed(opts) {
+    let (edges, partitioning) = if distributed(opts) {
         let algo = build_dist_algo(opts)?;
         let input = DistInput::Edges {
             num_vertices: n,
@@ -565,13 +577,14 @@ fn run(opts: &Options) -> Result<(), String> {
             out.net.bytes_sent, out.net.frames_sent
         );
         report_observability(opts, &out, start.elapsed())?;
-        out.partitioning
+        (edges, out.partitioning)
     } else {
-        let mut stream = InMemoryStream::new(n, edges.clone());
+        let mut stream = InMemoryStream::new(n, edges);
         let mut partitioner = build_partitioner(opts)?;
         let run = partitioner
             .partition(&mut stream, opts.k)
             .map_err(|e| e.to_string())?;
+        let edges = stream.into_edges();
         let quality = PartitionQuality::compute(&edges, &run.partitioning);
         println!("algorithm          = {}", partitioner.name());
         println!("k                  = {}", opts.k);
@@ -580,7 +593,7 @@ fn run(opts: &Options) -> Result<(), String> {
         println!("mirrors            = {}", quality.mirrors);
         println!("partition time     = {:?}", run.timings.total);
         println!("working memory     = {}", run.memory);
-        run.partitioning
+        (edges, run.partitioning)
     };
 
     if let Some(dir) = &opts.emit_placement {
@@ -588,12 +601,11 @@ fn run(opts: &Options) -> Result<(), String> {
         eprintln!("placement written to {dir}");
     }
     if let Some(out) = &opts.output {
-        let mut w =
-            std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?);
-        for (e, p) in edges.iter().zip(&partitioning.assignments) {
-            writeln!(w, "{}\t{}\t{}", e.src, e.dst, p).map_err(|e| e.to_string())?;
-        }
-        w.flush().map_err(|e| e.to_string())?;
+        let rows = edges
+            .iter()
+            .zip(&partitioning.assignments)
+            .map(|(e, &p)| [u64::from(e.src), u64::from(e.dst), u64::from(p)]);
+        write_assignment_tsv(out, rows)?;
         eprintln!("assignment written to {out}");
     }
     Ok(())
@@ -1262,6 +1274,23 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--order"), "{err}");
+    }
+
+    #[test]
+    fn sparse_rejects_emit_placement() {
+        // A sparse run never reaches the placement writer, so accepting the
+        // flag would exit 0 without the directory it asked for.
+        let err = parse_args(&strs(&[
+            "g.txt",
+            "--k",
+            "4",
+            "--sparse",
+            "--emit-placement",
+            "place_dir",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--emit-placement"), "{err}");
+        assert!(err.contains("--sparse"), "{err}");
     }
 
     #[test]

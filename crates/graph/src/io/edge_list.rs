@@ -1,12 +1,30 @@
 //! Whitespace-separated text edge lists (`src dst` per line, `#` comments) —
 //! the de-facto exchange format of SNAP/WebGraph-derived datasets.
+//!
+//! All text I/O goes through two byte-level pieces: [`TextWriter`] formats
+//! integer lines (edge lists here, assignment TSVs in `clugp-part`), and a
+//! private line scanner reads them back for [`parse_edge_list`],
+//! [`TextEdgeStream`] and [`RawTextEdgeStream`]. The scanner's fast path
+//! takes lines of ASCII digits and blanks; any other line is handed to the
+//! `str` path (`read_line` + `trim` + `split_whitespace` + `str::parse`),
+//! so the accepted grammar, values, errors and line numbers are exactly
+//! those of that path (DESIGN.md §6).
 
 use crate::error::{GraphError, Result};
 use crate::idmap::RawEdgeStream;
 use crate::stream::{EdgeStream, RestreamableStream};
 use crate::types::{Edge, RawEdge};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, Read, Seek, SeekFrom, Write};
+use std::num::ParseIntError;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
+
+/// Bytes the line scanner asks the reader for per `read` call. A longer
+/// line grows the buffer to fit it.
+const SCAN_BLOCK: usize = 32 * 1024;
+
+/// Bytes [`TextWriter`] gathers before handing them to its sink.
+const WRITE_BLOCK: usize = 1 << 20;
 
 /// Reads a text edge list. Lines starting with `#` or `%` and blank lines
 /// are skipped. Each data line must contain two unsigned integers.
@@ -18,56 +36,241 @@ pub fn read_edge_list(path: &Path) -> Result<Vec<Edge>> {
 /// Parses an edge list from any reader (exposed for tests and in-memory use).
 pub fn parse_edge_list<R: Read>(reader: R) -> Result<Vec<Edge>> {
     let mut edges = Vec::new();
-    let mut line = String::new();
-    let mut buf = BufReader::new(reader);
-    let mut line_no: u64 = 0;
-    loop {
-        line.clear();
-        let n = buf.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        line_no += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
-        let src = parse_field(it.next(), line_no)?;
-        let dst = parse_field(it.next(), line_no)?;
+    let mut scanner = LineScanner::new(reader);
+    while let Some((src, dst)) = scanner.next_ids::<u32>()? {
         edges.push(Edge { src, dst });
     }
     Ok(edges)
 }
 
-fn parse_field(field: Option<&str>, line: u64) -> Result<u32> {
+/// What the fast path made of one line.
+enum FastLine {
+    /// Blank, or a `#`/`%` comment.
+    Skip,
+    /// A data line's two ids.
+    Ids(u64, u64),
+    /// Anything else: only the `str` path may judge it.
+    Cold,
+}
+
+/// The blanks the fast path accepts between and around fields. VT and FF
+/// are whitespace too, but rare enough to leave to the `str` path.
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r')
+}
+
+fn skip_blanks(line: &[u8], mut i: usize) -> usize {
+    while line.get(i).copied().is_some_and(is_blank) {
+        i += 1;
+    }
+    i
+}
+
+/// The run of ASCII digits at `line[i..]` as a `u64`, and the index after
+/// it. `None` if the run is empty, overflows, or ends in a byte that is
+/// neither a blank nor the end of the line.
+fn scan_id(line: &[u8], mut i: usize) -> Option<(u64, usize)> {
+    let start = i;
+    let mut v: u64 = 0;
+    while let Some(&b) = line.get(i) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+        i += 1;
+    }
+    // 19 digits always fit a u64; only a longer run (leading zeros, or a
+    // value near u64::MAX) is re-read with overflow checks.
+    if i - start > 19 {
+        v = line[start..i].iter().try_fold(0u64, |v, &b| {
+            v.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+        })?;
+    }
+    let ends_token = line.get(i).copied().is_none_or(is_blank);
+    (i > start && ends_token).then_some((v, i))
+}
+
+/// The fast path over one line (without its `\n`). Fields past the second
+/// are ignored, as the `str` path ignores them, but the whole line must be
+/// ASCII: the `str` path rejects invalid UTF-8 anywhere in a line.
+fn scan_line(line: &[u8]) -> FastLine {
+    let i = skip_blanks(line, 0);
+    match line.get(i) {
+        None => return FastLine::Skip,
+        Some(b'#' | b'%') if line.is_ascii() => return FastLine::Skip,
+        _ => {}
+    }
+    let Some((src, i)) = scan_id(line, i) else {
+        return FastLine::Cold;
+    };
+    let Some((dst, i)) = scan_id(line, skip_blanks(line, i)) else {
+        return FastLine::Cold;
+    };
+    if line[i..].is_ascii() {
+        FastLine::Ids(src, dst)
+    } else {
+        FastLine::Cold
+    }
+}
+
+/// The `str` path for one line: `read_line`'s UTF-8 check, `trim`, comment
+/// and blank skipping, `split_whitespace` and `str::parse` into `T`.
+/// `Ok(None)` for a skipped line.
+fn parse_line_str<T>(mut line: &[u8], line_no: u64) -> Result<Option<(T, T)>>
+where
+    T: FromStr<Err = ParseIntError>,
+{
+    let mut text = String::new();
+    line.read_line(&mut text)?;
+    let trimmed = text.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+        return Ok(None);
+    }
+    let mut it = trimmed.split_whitespace();
+    let src = parse_field(it.next(), line_no)?;
+    let dst = parse_field(it.next(), line_no)?;
+    Ok(Some((src, dst)))
+}
+
+fn parse_field<T>(field: Option<&str>, line: u64) -> Result<T>
+where
+    T: FromStr<Err = ParseIntError>,
+{
     let s = field.ok_or_else(|| GraphError::Parse {
         line,
         message: "expected two vertex ids".into(),
     })?;
-    s.parse::<u32>().map_err(|e| GraphError::Parse {
+    s.parse::<T>().map_err(|e| GraphError::Parse {
         line,
         message: format!("bad vertex id {s:?}: {e}"),
     })
 }
 
-fn parse_field_u64(field: Option<&str>, line: u64) -> Result<u64> {
-    let s = field.ok_or_else(|| GraphError::Parse {
-        line,
-        message: "expected two vertex ids".into(),
-    })?;
-    s.parse::<u64>().map_err(|e| GraphError::Parse {
-        line,
-        message: format!("bad vertex id {s:?}: {e}"),
-    })
+/// Byte-level line scanner over an edge list: one block buffer, lines cut
+/// at `\n` in place, two ids per data line.
+struct LineScanner<R> {
+    reader: R,
+    /// Block buffer; `buf[pos..end]` is read but not yet consumed.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    eof: bool,
+    /// 1-based number of the last line handed out.
+    line_no: u64,
+}
+
+impl<R> std::fmt::Debug for LineScanner<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LineScanner")
+            .field("buffered", &(self.end - self.pos))
+            .field("eof", &self.eof)
+            .field("line_no", &self.line_no)
+            .finish()
+    }
+}
+
+impl<R: Read> LineScanner<R> {
+    fn new(reader: R) -> Self {
+        LineScanner {
+            reader,
+            buf: vec![0; SCAN_BLOCK],
+            pos: 0,
+            end: 0,
+            eof: false,
+            line_no: 0,
+        }
+    }
+
+    /// Moves the unconsumed tail to the front (growing the buffer if the
+    /// tail fills it) and reads once behind it.
+    fn refill(&mut self) -> std::io::Result<()> {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        let n = loop {
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => break read?,
+            }
+        };
+        self.eof = n == 0;
+        self.end += n;
+        Ok(())
+    }
+
+    /// The next line as a `buf` range without its `\n`, or `None` at the
+    /// end of the input. A final line without `\n` still counts.
+    fn next_line(&mut self) -> std::io::Result<Option<(usize, usize)>> {
+        let mut searched = 0;
+        loop {
+            let from = self.pos + searched;
+            if let Some(i) = self.buf[from..self.end].iter().position(|&b| b == b'\n') {
+                let line = (self.pos, from + i);
+                self.pos = from + i + 1;
+                return Ok(Some(line));
+            }
+            if self.eof {
+                if self.pos == self.end {
+                    return Ok(None);
+                }
+                let line = (self.pos, self.end);
+                self.pos = self.end;
+                return Ok(Some(line));
+            }
+            searched = self.end - self.pos;
+            self.refill()?;
+        }
+    }
+
+    /// The ids of the next data line, skipping blank and comment lines.
+    /// A line the fast path does not fully accept, or whose ids do not fit
+    /// `T`, is judged by the `str` path instead.
+    fn next_ids<T>(&mut self) -> Result<Option<(T, T)>>
+    where
+        T: FromStr<Err = ParseIntError> + TryFrom<u64>,
+    {
+        while let Some((start, stop)) = self.next_line()? {
+            self.line_no += 1;
+            let line = &self.buf[start..stop];
+            match scan_line(line) {
+                FastLine::Skip => continue,
+                FastLine::Ids(src, dst) => {
+                    if let (Ok(src), Ok(dst)) = (T::try_from(src), T::try_from(dst)) {
+                        return Ok(Some((src, dst)));
+                    }
+                }
+                FastLine::Cold => {}
+            }
+            if let Some(ids) = parse_line_str(line, self.line_no)? {
+                return Ok(Some(ids));
+            }
+        }
+        Ok(None)
+    }
+}
+
+impl<R: Read + Seek> LineScanner<R> {
+    /// Seeks back to the first byte and forgets the buffered bytes.
+    fn rewind(&mut self) -> std::io::Result<()> {
+        self.reader.seek(SeekFrom::Start(0))?;
+        self.pos = 0;
+        self.end = 0;
+        self.eof = false;
+        self.line_no = 0;
+        Ok(())
+    }
 }
 
 /// A resettable edge stream over a text edge list, parsing lazily so the
 /// whole file never has to sit in memory.
 ///
-/// Lines are pulled through a [`BufReader`] (real buffered block reads);
-/// chunked pulls ([`EdgeStream::next_chunk`]) parse a block of lines per
-/// virtual dispatch. Comment (`#`/`%`) and blank lines are skipped.
+/// Lines are cut from block reads by the byte-level scanner; chunked pulls
+/// ([`EdgeStream::next_chunk`]) parse a block of lines per virtual
+/// dispatch. Comment (`#`/`%`) and blank lines are skipped.
 ///
 /// [`TextEdgeStream::open`] validates the whole file up front (one extra
 /// buffered pass) so a malformed line fails loudly at open time — never as
@@ -82,10 +285,8 @@ fn parse_field_u64(field: Option<&str>, line: u64) -> Result<u64> {
 /// stream unknowingly.
 #[derive(Debug)]
 pub struct TextEdgeStream {
-    reader: BufReader<std::fs::File>,
+    scanner: LineScanner<std::fs::File>,
     path: PathBuf,
-    line: String,
-    line_no: u64,
     done: bool,
     error: Option<GraphError>,
     num_edges: Option<u64>,
@@ -124,10 +325,8 @@ impl TextEdgeStream {
     pub fn open_lazy(path: &Path) -> Result<Self> {
         let file = std::fs::File::open(path)?;
         Ok(TextEdgeStream {
-            reader: BufReader::new(file),
+            scanner: LineScanner::new(file),
             path: path.to_path_buf(),
-            line: String::new(),
-            line_no: 0,
             done: false,
             error: None,
             num_edges: None,
@@ -150,35 +349,16 @@ impl TextEdgeStream {
         if self.done {
             return None;
         }
-        loop {
-            self.line.clear();
-            let n = match self.reader.read_line(&mut self.line) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.done = true;
-                    self.error = Some(GraphError::from(e));
-                    return None;
-                }
-            };
-            if n == 0 {
+        match self.scanner.next_ids::<u32>() {
+            Ok(Some((src, dst))) => Some(Edge { src, dst }),
+            Ok(None) => {
                 self.done = true;
-                return None;
+                None
             }
-            self.line_no += 1;
-            let trimmed = self.line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-                continue;
-            }
-            let mut it = trimmed.split_whitespace();
-            let parsed = parse_field(it.next(), self.line_no)
-                .and_then(|src| parse_field(it.next(), self.line_no).map(|dst| Edge { src, dst }));
-            match parsed {
-                Ok(e) => return Some(e),
-                Err(e) => {
-                    self.done = true;
-                    self.error = Some(e);
-                    return None;
-                }
+            Err(e) => {
+                self.done = true;
+                self.error = Some(e);
+                None
             }
         }
     }
@@ -188,7 +368,7 @@ impl EdgeStream for TextEdgeStream {
     // `next_chunk` is deliberately not overridden: the trait default loops
     // `next_edge`, which statically dispatches to `parse_next` here — an
     // override would duplicate it byte for byte. The chunking win for this
-    // source is the BufReader's block reads plus one virtual dispatch per
+    // source is the scanner's block reads plus one virtual dispatch per
     // chunk at the consumer, both of which the default already provides.
     fn next_edge(&mut self) -> Option<Edge> {
         self.parse_next()
@@ -213,8 +393,7 @@ impl RestreamableStream for TextEdgeStream {
     /// restreaming consumer cannot silently loop over a truncated stream.
     fn reset(&mut self) -> Result<()> {
         let parked = self.error.take();
-        self.reader.seek(SeekFrom::Start(0))?;
-        self.line_no = 0;
+        self.scanner.rewind()?;
         self.done = false;
         match parked {
             Some(e) => Err(e),
@@ -240,10 +419,8 @@ impl RestreamableStream for TextEdgeStream {
 /// exposes the parked error for single-pass consumers.
 #[derive(Debug)]
 pub struct RawTextEdgeStream {
-    reader: BufReader<std::fs::File>,
+    scanner: LineScanner<std::fs::File>,
     path: PathBuf,
-    line: String,
-    line_no: u64,
     done: bool,
     error: Option<GraphError>,
     num_edges: u64,
@@ -258,10 +435,8 @@ impl RawTextEdgeStream {
     pub fn open(path: &Path) -> Result<Self> {
         let file = std::fs::File::open(path)?;
         let mut s = RawTextEdgeStream {
-            reader: BufReader::new(file),
+            scanner: LineScanner::new(file),
             path: path.to_path_buf(),
-            line: String::new(),
-            line_no: 0,
             done: false,
             error: None,
             num_edges: 0,
@@ -291,23 +466,9 @@ impl RawTextEdgeStream {
         if self.done {
             return Ok(None);
         }
-        loop {
-            self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
-                self.done = true;
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let trimmed = self.line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-                continue;
-            }
-            let mut it = trimmed.split_whitespace();
-            let src = parse_field_u64(it.next(), self.line_no)?;
-            let dst = parse_field_u64(it.next(), self.line_no)?;
-            return Ok(Some(RawEdge { src, dst }));
-        }
+        let ids = self.scanner.next_ids::<u64>()?;
+        self.done = ids.is_none();
+        Ok(ids.map(|(src, dst)| RawEdge { src, dst }))
     }
 }
 
@@ -342,8 +503,7 @@ impl RawEdgeStream for RawTextEdgeStream {
     /// the previous pass early.
     fn reset(&mut self) -> Result<()> {
         let parked = self.error.take();
-        self.reader.seek(SeekFrom::Start(0))?;
-        self.line_no = 0;
+        self.scanner.rewind()?;
         self.done = false;
         match parked {
             Some(e) => Err(e),
@@ -352,15 +512,114 @@ impl RawEdgeStream for RawTextEdgeStream {
     }
 }
 
+/// `"00"`, `"01"`, …, `"99"`: the two-digit table [`push_decimal`] formats
+/// from.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends the decimal digits of `v`, two per step from [`DIGIT_PAIRS`].
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// The one text writer: lines of unsigned integers (edge lists, assignment
+/// TSVs) formatted into a reused ~1 MiB block that goes to the sink with
+/// `write_all`, so write errors propagate.
+///
+/// Bytes are exactly those of `writeln!` with `{}` fields. Call
+/// [`TextWriter::finish`] at the end: dropping the writer discards the
+/// buffered tail.
+pub struct TextWriter<W: Write> {
+    sink: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> TextWriter<W> {
+    /// A writer over `sink`.
+    pub fn new(sink: W) -> Self {
+        TextWriter {
+            sink,
+            buf: Vec::with_capacity(WRITE_BLOCK + 64),
+        }
+    }
+
+    /// Appends `fields` in decimal, separated by `sep`, and a `\n`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if handing a full block to the sink fails.
+    pub fn line(&mut self, fields: &[u64], sep: u8) -> std::io::Result<()> {
+        for (i, &v) in fields.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(sep);
+            }
+            push_decimal(&mut self.buf, v);
+        }
+        self.buf.push(b'\n');
+        self.spill()
+    }
+
+    /// Appends raw text, such as a header comment.
+    ///
+    /// # Errors
+    ///
+    /// Fails if handing a full block to the sink fails.
+    pub fn text(&mut self, s: &str) -> std::io::Result<()> {
+        self.buf.extend_from_slice(s.as_bytes());
+        self.spill()
+    }
+
+    fn spill(&mut self) -> std::io::Result<()> {
+        if self.buf.len() >= WRITE_BLOCK {
+            self.sink.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Writes the buffered tail and flushes the sink.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the write or the flush fails.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.sink.write_all(&self.buf)?;
+        self.sink.flush()
+    }
+}
+
 /// Writes edges as a text edge list with a provenance header comment.
 pub fn write_edge_list(path: &Path, edges: &[Edge]) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    writeln!(w, "# directed edge list, {} edges", edges.len())?;
+    let mut w = TextWriter::new(std::fs::File::create(path)?);
+    w.text(&format!("# directed edge list, {} edges\n", edges.len()))?;
     for e in edges {
-        writeln!(w, "{} {}", e.src, e.dst)?;
+        w.line(&[u64::from(e.src), u64::from(e.dst)], b' ')?;
     }
-    w.flush()?;
+    w.finish()?;
     Ok(())
 }
 
@@ -524,9 +783,10 @@ mod tests {
         // pre-pass) must not be silently truncated: the parse error is
         // parked and the next reset reports it, so a restreaming consumer
         // cannot loop over a corrupted stream. The file must exceed the
-        // BufReader buffer (8 KiB) for the mutation to be observable.
+        // scanner's read block for the mutation to be observable.
         let path = tmp("raw_mutated.txt");
         let good: String = (0..4000u64).map(|i| format!("{i} {}\n", i + 1)).collect();
+        assert!(good.len() > SCAN_BLOCK, "fixture fits in one read block");
         std::fs::write(&path, &good).unwrap();
         let mut s = RawTextEdgeStream::open(&path).unwrap();
         assert_eq!(s.next_raw(), Some(RawEdge::new(0, 1)));
@@ -556,5 +816,252 @@ mod tests {
         assert!(parse_edge_list("# only comments\n".as_bytes())
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn decimal_formatter_matches_display_at_digit_boundaries() {
+        let boundaries = [
+            0u64,
+            9,
+            10,
+            99,
+            100,
+            999_999_999,
+            1_000_000_000,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ];
+        for v in boundaries {
+            for w in [v.saturating_sub(1), v, v.saturating_add(1)] {
+                let mut out = Vec::new();
+                push_decimal(&mut out, w);
+                assert_eq!(out, w.to_string().into_bytes(), "{w}");
+            }
+        }
+    }
+
+    #[test]
+    fn text_writer_bytes_equal_writeln_across_block_spills() {
+        // Enough lines to spill several full blocks, with ids of every
+        // width from one digit to u64::MAX.
+        let mut rows = Vec::new();
+        let mut v: u64 = 1;
+        for i in 0..200_000u64 {
+            v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            rows.push([i, v >> (i % 64), v % 32]);
+        }
+        let mut want = Vec::new();
+        writeln!(want, "# header {}", rows.len()).unwrap();
+        for r in &rows {
+            writeln!(want, "{}\t{}\t{}", r[0], r[1], r[2]).unwrap();
+        }
+        let mut got = Vec::new();
+        let mut w = TextWriter::new(&mut got);
+        w.text(&format!("# header {}\n", rows.len())).unwrap();
+        for r in &rows {
+            w.line(r, b'\t').unwrap();
+        }
+        w.finish().unwrap();
+        assert!(want.len() > 2 * WRITE_BLOCK);
+        assert!(got == want, "TextWriter bytes differ from writeln!");
+    }
+
+    #[test]
+    fn text_writer_propagates_write_errors() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = TextWriter::new(Broken);
+        w.line(&[1, 2, 3], b'\t').unwrap(); // buffered, not yet written
+        assert_eq!(w.finish().unwrap_err().to_string(), "disk full");
+        let mut w = TextWriter::new(Broken);
+        let spilled = (0..WRITE_BLOCK).try_for_each(|i| w.line(&[i as u64], b' '));
+        assert!(spilled.is_err(), "a full block must reach the sink");
+    }
+
+    /// The edge-list parse loop as it was before the byte-level scanner,
+    /// kept as the reference the scanner must match: `BufRead::read_line`,
+    /// `trim`, `#`/`%`/blank skipping, `split_whitespace`, `str::parse`.
+    /// Returns the edges before the first error, and that error.
+    fn str_reference<T>(bytes: &[u8]) -> (Vec<(T, T)>, Option<GraphError>)
+    where
+        T: FromStr<Err = ParseIntError>,
+    {
+        fn field<T: FromStr<Err = ParseIntError>>(f: Option<&str>, line: u64) -> Result<T> {
+            let s = f.ok_or_else(|| GraphError::Parse {
+                line,
+                message: "expected two vertex ids".into(),
+            })?;
+            s.parse::<T>().map_err(|e| GraphError::Parse {
+                line,
+                message: format!("bad vertex id {s:?}: {e}"),
+            })
+        }
+        let mut edges = Vec::new();
+        let mut line = String::new();
+        let mut buf = std::io::BufReader::new(bytes);
+        let mut line_no: u64 = 0;
+        loop {
+            line.clear();
+            match buf.read_line(&mut line) {
+                Ok(0) => return (edges, None),
+                Ok(_) => {}
+                Err(e) => return (edges, Some(e.into())),
+            }
+            line_no += 1;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+                continue;
+            }
+            let mut it = trimmed.split_whitespace();
+            let parsed = field(it.next(), line_no)
+                .and_then(|src| field(it.next(), line_no).map(|dst| (src, dst)));
+            match parsed {
+                Ok(ids) => edges.push(ids),
+                Err(e) => return (edges, Some(e)),
+            }
+        }
+    }
+
+    /// An error's variant and full message: what must not move.
+    fn error_key(e: &GraphError) -> String {
+        let variant = match e {
+            GraphError::Io(io) => format!("Io({:?})", io.kind()),
+            GraphError::Parse { line, .. } => format!("Parse(line {line})"),
+            other => format!("other {other:?}"),
+        };
+        format!("{variant}: {e}")
+    }
+
+    /// Runs every text reader over `bytes` and checks each against the
+    /// `str` reference: same edges, or the same edges up to the same error.
+    fn check_against_reference(name: &str, bytes: &[u8]) {
+        let (want32, err32) = str_reference::<u32>(bytes);
+        let want32: Vec<Edge> = want32.into_iter().map(|(s, d)| Edge::new(s, d)).collect();
+        let err32 = err32.as_ref().map(error_key);
+        match parse_edge_list(bytes) {
+            Ok(got) => {
+                assert_eq!(err32, None, "{name}: scanner accepted a rejected input");
+                assert_eq!(got, want32, "{name}: parse_edge_list edges");
+            }
+            Err(e) => assert_eq!(Some(error_key(&e)), err32, "{name}: parse_edge_list error"),
+        }
+
+        let path = tmp(&format!("differential_{name}.txt"));
+        std::fs::write(&path, bytes).unwrap();
+        let mut lazy = TextEdgeStream::open_lazy(&path).unwrap();
+        assert_eq!(
+            crate::stream::collect_stream(&mut lazy),
+            want32,
+            "{name}: lazy stream prefix"
+        );
+        assert_eq!(lazy.error().map(error_key), err32, "{name}: parked error");
+        match TextEdgeStream::open(&path) {
+            Ok(mut s) => {
+                assert_eq!(err32, None, "{name}: validating open accepted");
+                assert_eq!(crate::stream::collect_stream(&mut s), want32, "{name}");
+            }
+            Err(e) => assert_eq!(Some(error_key(&e)), err32, "{name}: open error"),
+        }
+
+        let (want64, err64) = str_reference::<u64>(bytes);
+        match RawTextEdgeStream::open(&path) {
+            Ok(mut s) => {
+                assert!(err64.is_none(), "{name}: raw open accepted {err64:?}");
+                let mut got = Vec::new();
+                while let Some(e) = s.next_raw() {
+                    got.push((e.src, e.dst));
+                }
+                assert_eq!(got, want64, "{name}: raw edges");
+            }
+            Err(e) => assert_eq!(
+                Some(error_key(&e)),
+                err64.as_ref().map(error_key),
+                "{name}: raw open error"
+            ),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn scanner_matches_str_reference_on_corpus() {
+        let long_field = "9".repeat(2 * SCAN_BLOCK + 7);
+        let long_blanks = " \t".repeat(SCAN_BLOCK);
+        let corpus: Vec<(&str, Vec<u8>)> = vec![
+            ("crlf", b"0 1\r\n2 3\r\n".to_vec()),
+            ("tabs", b"0\t1\n\t2\t\t3\t\n".to_vec()),
+            ("leading_ws", b"   4 5\n \t 6 7\n\r8 9\n".to_vec()),
+            ("cr_inside", b"0\r1\n".to_vec()),
+            (
+                "vt_ff",
+                b"\x0b8 9\n10\x0c11\n12 13\x0b\n\x0c\n14 15\x0b7\n".to_vec(),
+            ),
+            ("comments", b"  # c 1 2\n\t% d\n0 1\n#\n%x y\n".to_vec()),
+            ("blank_lines", b"\n\n  \n\r\n0 1\n\n".to_vec()),
+            (
+                "extra_columns",
+                b"0 1 0.5\n2 3 7 extra cols\n4 5 -1\n6 7\t#x\n".to_vec(),
+            ),
+            ("plus_src", b"+5 6\n".to_vec()),
+            ("plus_dst", b"5 +6\n".to_vec()),
+            ("lone_plus", b"+ 1\n".to_vec()),
+            ("minus", b"-0 1\n".to_vec()),
+            (
+                "leading_zeros",
+                b"007 0000000000000000000000000000042\n".to_vec(),
+            ),
+            ("u32_max", b"4294967295 0\n".to_vec()),
+            ("u32_max_plus_one", b"0 1\n4294967296 0\n".to_vec()),
+            ("u64_max", b"18446744073709551615 1\n".to_vec()),
+            ("u64_overflow", b"1 18446744073709551616\n".to_vec()),
+            ("one_field", b"0 1\n42\n".to_vec()),
+            ("one_field_ws", b"0 1\n42 \t\r\n".to_vec()),
+            ("non_digit", b"0 1\nx y\n".to_vec()),
+            ("digit_then_letter", b"1 2x\n".to_vec()),
+            ("letter_in_src", b"1x 2\n".to_vec()),
+            ("nul_byte", b"0\x001\n".to_vec()),
+            ("utf8_comment", b"0 1\n# caf\xc3\xa9\n2 3\n".to_vec()),
+            ("bad_utf8_comment", b"0 1\n# caf\xe9\n2 3\n".to_vec()),
+            ("bad_utf8_third_field", b"0 1 \xff\n2 3\n".to_vec()),
+            ("utf8_third_field", "0 1 café\n".as_bytes().to_vec()),
+            (
+                "nbsp_separator",
+                "0\u{a0}1\n\u{3000}5 6\n".as_bytes().to_vec(),
+            ),
+            ("no_final_newline", b"0 1\n2 3".to_vec()),
+            ("final_cr_no_newline", b"0 1\r".to_vec()),
+            (
+                "long_line",
+                format!("0 1 {long_field}\n2 3\n{long_field} 1\n").into_bytes(),
+            ),
+            (
+                "long_leading_blanks",
+                format!("{long_blanks}4 5\n# {long_field}\n6 7").into_bytes(),
+            ),
+            ("empty", Vec::new()),
+            ("only_comments", b"# a\n% b\n".to_vec()),
+        ];
+        for (name, bytes) in &corpus {
+            check_against_reference(name, bytes);
+        }
+        // The accepted cases joined into one input, so lines straddle block
+        // edges at other offsets and line numbers keep counting; then one
+        // rejected line at its end.
+        let mut joined = Vec::new();
+        for (_, bytes) in &corpus {
+            if str_reference::<u32>(bytes).1.is_none() {
+                joined.extend_from_slice(bytes);
+                joined.push(b'\n');
+            }
+        }
+        check_against_reference("joined", &joined);
+        joined.extend_from_slice(b"1 2\n3\n");
+        check_against_reference("joined_then_bad", &joined);
     }
 }

@@ -6,6 +6,7 @@ use clugp::clugp::{solve_game, stream_clustering, Clugp, ClugpConfig, ClusterGra
 use clugp::metrics::PartitionQuality;
 use clugp::partitioner::Partitioner;
 use clugp_graph::csr::CsrGraph;
+use clugp_graph::error::GraphError;
 use clugp_graph::idmap::{IdMap, RawInMemoryStream, RemappedStream};
 use clugp_graph::order::{bfs_edge_order, bfs_ranks};
 use clugp_graph::sampling::compact;
@@ -82,6 +83,102 @@ fn assert_decoders_agree(edges: &[Edge], tag: &str) {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// The pieces text edge-list lines are drawn from: digits (valid, at the
+/// `u32` edge, past it, past `u64`), blanks (space, tab, CR, VT, FF),
+/// comment markers, signs, junk, valid UTF-8 and an invalid byte.
+const LINE_PIECES: &[&[u8]] = &[
+    b"0",
+    b"1",
+    b"7",
+    b"42",
+    b"009",
+    b"4294967295",
+    b"4294967296",
+    b"18446744073709551616",
+    b" ",
+    b" ",
+    b"  ",
+    b"\t",
+    b"\r",
+    b"\x0b",
+    b"\x0c",
+    b"#",
+    b"%",
+    b"+",
+    b"-",
+    b"x",
+    b".5",
+    "\u{e9}".as_bytes(),
+    b"\xff",
+];
+
+/// Random edge-list text: lines of random pieces, mostly digits and blanks.
+fn arb_edge_list_text() -> impl Strategy<Value = Vec<u8>> {
+    let line = prop::collection::vec(0usize..LINE_PIECES.len() + 8, 0..9);
+    prop::collection::vec(line, 0..40).prop_map(|lines| {
+        let mut text = Vec::new();
+        for line in lines {
+            for i in line {
+                // Indices past the table are extra " " / "1" draws, so most
+                // lines are data lines.
+                let piece: &[u8] = match LINE_PIECES.get(i) {
+                    Some(p) => p,
+                    None if i % 2 == 0 => b" ",
+                    None => b"1",
+                };
+                text.extend_from_slice(piece);
+            }
+            text.push(b'\n');
+        }
+        text
+    })
+}
+
+/// The text edge-list parse before the byte-level scanner — `read_line`,
+/// `trim`, comment/blank skipping, `split_whitespace`, `str::parse::<u32>` —
+/// kept as the reference the scanner must match.
+fn str_edge_list_reference(bytes: &[u8]) -> Result<Vec<Edge>, GraphError> {
+    use std::io::BufRead;
+    let field = |f: Option<&str>, line: u64| -> Result<u32, GraphError> {
+        let s = f.ok_or_else(|| GraphError::Parse {
+            line,
+            message: "expected two vertex ids".into(),
+        })?;
+        s.parse::<u32>().map_err(|e| GraphError::Parse {
+            line,
+            message: format!("bad vertex id {s:?}: {e}"),
+        })
+    };
+    let mut edges = Vec::new();
+    let mut reader = std::io::BufReader::new(bytes);
+    let mut line = String::new();
+    let mut line_no = 0u64;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(edges);
+        }
+        line_no += 1;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            continue;
+        }
+        let mut it = trimmed.split_whitespace();
+        let src = field(it.next(), line_no)?;
+        let dst = field(it.next(), line_no)?;
+        edges.push(Edge::new(src, dst));
+    }
+}
+
+/// A parse outcome with the error reduced to its variant, line and message.
+fn parse_outcome(r: Result<Vec<Edge>, GraphError>) -> Result<Vec<Edge>, String> {
+    r.map_err(|e| match &e {
+        GraphError::Io(io) => format!("Io({:?}): {e}", io.kind()),
+        GraphError::Parse { line, .. } => format!("Parse(line {line}): {e}"),
+        other => format!("other: {other}"),
+    })
 }
 
 proptest! {
@@ -352,6 +449,14 @@ proptest! {
         prop_assert_eq!(fa, fb);
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
+    }
+
+    /// The byte-level edge-list scanner accepts, rejects and numbers lines
+    /// exactly as the `str` parse it replaced.
+    #[test]
+    fn edge_list_scanner_matches_str_reference(text in arb_edge_list_text()) {
+        let got = clugp_graph::io::edge_list::parse_edge_list(&text[..]);
+        prop_assert_eq!(parse_outcome(got), parse_outcome(str_edge_list_reference(&text)));
     }
 
     /// Binary I/O round-trips arbitrary graphs.
