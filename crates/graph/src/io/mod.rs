@@ -14,9 +14,7 @@ pub mod edge_list;
 pub mod metis;
 
 pub use binary::{read_binary_graph, write_binary_graph, FileEdgeStream};
-pub use edge_list::{
-    read_edge_list, write_edge_list, RawTextEdgeStream, TextEdgeStream, TextWriter,
-};
+pub use edge_list::{read_edge_list, write_edge_list, RawTextEdgeStream, TextEdgeStream};
 pub use metis::{read_metis, write_metis};
 
 use crate::error::Result;
